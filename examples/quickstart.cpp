@@ -60,8 +60,8 @@ int main() {
 
   // 2. Run ATPG for the input stuck-at model, streaming phase transitions.
   //    A CancelToken could be passed alongside the observer to stop the run
-  //    between faults; add_faults() would later grow the universe without
-  //    redoing the committed work.
+  //    between faults; add_faults() would later grow the universe, reusing
+  //    every memoized search and searching only the new faults.
   PhasePrinter progress;
   const Expected<AtpgResult> result =
       session->run(session->input_stuck_faults(), &progress);

@@ -13,11 +13,9 @@
 //  * on_fault_resolved fires exactly once per fault whose outcome becomes
 //    final during the run (covered by any phase, or proven redundant);
 //    faults left undetected get no event.  Events arrive in deterministic
-//    order for a fixed fault list, independent of the thread count.  One
-//    caveat for incremental runs (add_faults): a FaultSim event for a fault
-//    whose 3-phase search has not run yet reports the sequence that covered
-//    it at that moment; the final result may attribute an *earlier*
-//    sequence once the search status is known (coverage itself is final).
+//    order for a fixed fault list, independent of the thread count.  The
+//    reported outcome is final, add_faults included: it equals the
+//    returned result's entry for that fault.
 //  * A CancelToken may be fired from any thread (it is a thread-safe shared
 //    flag), including from inside an observer callback.  The run stops at
 //    the next between-faults checkpoint and returns the deterministic

@@ -20,12 +20,13 @@
 //     full flow (random TPG -> 3-phase symbolic ATPG -> cross fault
 //     simulation), optionally streaming progress to a RunObserver and
 //     honouring a CancelToken (see xatpg/progress.hpp for the contract).
-//  3. add_faults(more) grows the universe *incrementally*: new faults are
-//     first cross-simulated against the already-committed sequences, and
-//     only the still-uncovered ones pay for a 3-phase search.  The combined
-//     result is byte-identical to a from-scratch run on the union universe.
-//     add_faults({}) after a cancelled run resumes it: cached searches are
-//     reused and the final result is byte-identical to an uncancelled run.
+//  3. add_faults(more) grows the universe and reruns the flow on the union:
+//     memoized 3-phase searches are reused, and every new fault that random
+//     TPG and the classifier leave unresolved is searched before the first
+//     commit.  The combined result is byte-identical to a from-scratch run
+//     on the union universe.  add_faults({}) after a cancelled run resumes
+//     it: cached searches are reused and the final result is byte-identical
+//     to an uncancelled run.
 //  4. Results, test-program export and statistics are read back at any
 //     time; the expensive artifacts (CSSG, shards, generated tests) persist
 //     across runs on the same Session.
@@ -143,9 +144,9 @@ class Session {
                            RunObserver* observer = nullptr,
                            const CancelToken* cancel = nullptr);
 
-  /// Grow the universe incrementally (see the file header).  The returned
-  /// result covers the whole union universe and is byte-identical to a
-  /// from-scratch run on it.
+  /// Grow the universe and rerun the flow on the union, reusing memoized
+  /// searches (see the file header).  The returned result covers the whole
+  /// union universe and is byte-identical to a from-scratch run on it.
   [[nodiscard]] Expected<AtpgResult> add_faults(const std::vector<Fault>& faults,
                                   RunObserver* observer = nullptr,
                                   const CancelToken* cancel = nullptr);

@@ -548,11 +548,7 @@ void AtpgEngine::cross_simulate(
     // for faults whose own 3-phase search already completed and failed —
     // for those the exact simulator is the only remaining chance at
     // coverage, exactly as in the serial engine; skipping it would regress
-    // coverage where ternary is too conservative.  Faults whose search has
-    // not run yet (incremental growth) are screened by ternary only here;
-    // the post-generation catch-up in run_universe replays the committed
-    // sequences for any of them that turn out search-exhausted, which keeps
-    // incremental results byte-identical to a from-scratch union run.
+    // coverage where ternary is too conservative.
     if (!flagged[j]) {
       const auto it = generated_cache_.find(faults[j]);
       const bool search_exhausted =
@@ -714,74 +710,25 @@ AtpgResult AtpgEngine::run_universe(RunObserver* observer,
         !result.outcomes[i].proven_redundant)
       todo.push_back(i);
 
+  // Search every unmemoized fault up front (one parallel fan-out; memoized
+  // searches from earlier runs on this engine are reused, never redone).
+  std::vector<std::size_t> unsearched;
+  for (const std::size_t i : todo)
+    if (!generated_cache_.contains(faults[i])) unsearched.push_back(i);
+  if (!is_cancelled())
+    generate_parallel(faults, unsearched, cancel, observer,
+                      [&] { return progress_snapshot(RunPhase::ThreePhase); });
+
   // --- deterministic merge + cross fault simulation (§5.4) -------------------
   // Commit strictly in fault-list order; a fault already picked up by an
   // earlier committed sequence's cross simulation discards its own test.
-  // Generation is batched lazily *inside* the merge: the first fault whose
-  // search is not memoized triggers one parallel fan-out over every
-  // still-uncovered unmemoized fault.  On a fresh universe that batch is
-  // the entire todo list before any commit (identical to generating up
-  // front); on an incrementally grown universe the committed prefix runs
-  // from the cache first, its cross simulation covers new faults for free,
-  // and only the survivors pay for a search.
-  std::vector<std::vector<std::uint32_t>> committed_paths;  // 3-phase commits
-  std::vector<int> committed_indices;                       // their seq indices
-  // Unmemoized faults that cross simulation covers get a *tentative*
-  // FaultSim attribution: once their search status is known (see the
-  // fix-up after the merge loop) the attributed sequence may move earlier.
-  std::vector<std::pair<std::size_t, std::size_t>> tentative;  // (fault, commit#)
-  // Exact replay of one committed sequence (by commit position) for fault
-  // j; true if the fault is detected.
-  const auto replays_detect = [&](std::size_t j, std::size_t commit) {
-    const TestSequence& seq = result.sequences[committed_indices[commit]];
-    const auto& path = committed_paths[commit];
-    FaultSimulator& sim = *sims[j];
-    sim.restart();
-    DetectStatus status = sim.status();
-    for (std::size_t t = 0;
-         t < seq.vectors.size() && status == DetectStatus::Undetermined; ++t)
-      status = sim.step(seq.vectors[t], graph_.states[path[t + 1]]);
-    return status == DetectStatus::Detected;
-  };
   for (const std::size_t i : todo) {
     if (is_cancelled()) break;
     if (result.outcomes[i].covered_by != CoveredBy::None) continue;
-    auto cached = generated_cache_.find(faults[i]);
-    if (cached == generated_cache_.end()) {
-      std::vector<std::size_t> batch;
-      for (const std::size_t j : todo)
-        if (result.outcomes[j].covered_by == CoveredBy::None &&
-            !generated_cache_.contains(faults[j]))
-          batch.push_back(j);
-      generate_parallel(faults, batch, cancel, observer,
-                        [&] { return progress_snapshot(RunPhase::ThreePhase); });
-
-      // Catch-up for byte-identity with a from-scratch run: a batch fault
-      // whose search turned out exhausted would — in the from-scratch run —
-      // have had the exact-fallback replay at *every* earlier commit.  Redo
-      // that now against this run's committed sequences, in commit order;
-      // the earliest detection wins.  (Batch faults were all uncovered at
-      // batch time, so any detection here is their first.)
-      for (const std::size_t j : batch) {
-        const auto it = generated_cache_.find(faults[j]);
-        if (it == generated_cache_.end() || it->second.sequence.has_value())
-          continue;
-        for (std::size_t c = 0; c < committed_paths.size(); ++c) {
-          if (!replays_detect(j, c)) continue;
-          ++result.stats.by_fault_sim;
-          result.outcomes[j].covered_by = CoveredBy::FaultSim;
-          result.outcomes[j].sequence_index = committed_indices[c];
-          notify_resolved(j);
-          break;
-        }
-      }
-
-      if (is_cancelled()) break;
-      cached = generated_cache_.find(faults[i]);
-      // The batch itself was cut short by a cancel before reaching fault i.
-      if (cached == generated_cache_.end()) break;
-      if (result.outcomes[i].covered_by != CoveredBy::None) continue;
-    }
+    // Only a cancel fired during the fan-out leaves a fault unsearched, and
+    // a fired token stops the loop above.
+    const auto cached = generated_cache_.find(faults[i]);
+    XATPG_CHECK(cached != generated_cache_.end());
     if (!cached->second.sequence) continue;  // undetected (redundant or gave up)
     const TestSequence& seq = *cached->second.sequence;
     const int seq_index = static_cast<int>(result.sequences.size());
@@ -794,40 +741,9 @@ AtpgResult AtpgEngine::run_universe(RunObserver* observer,
     std::vector<std::size_t> resolved;
     cross_simulate(faults, sims, i, seq, *path, seq_index, result, resolved);
     result.sequences.push_back(seq);
-    committed_paths.push_back(*path);
-    committed_indices.push_back(seq_index);
-    for (const std::size_t j : resolved)
-      if (!generated_cache_.contains(faults[j]))
-        tentative.emplace_back(j, committed_paths.size() - 1);
     notify_resolved(i);
     for (const std::size_t j : resolved) notify_resolved(j);
     emit_progress(RunPhase::ThreePhase);
-  }
-
-  // Attribution fix-up for the tentatively covered faults.  A from-scratch
-  // run knows every fault's search status before its first commit, so a
-  // search-exhausted fault is FaultSim-attributed to the earliest commit
-  // its *exact* replay detects — which can precede the flagged commit that
-  // covered it here (the ternary screen is conservative).  Replay the
-  // earlier commits; only if one detects does the search status matter, and
-  // only then is the (memoized, per-fault-pure, main-thread — so still
-  // deterministic) search actually paid for.
-  for (const auto& [j, covered_at] : tentative) {
-    std::optional<int> earlier;
-    for (std::size_t c = 0; c < covered_at; ++c) {
-      if (replays_detect(j, c)) {
-        earlier = committed_indices[c];
-        break;
-      }
-    }
-    if (!earlier) continue;  // attribution already matches from-scratch
-    auto it = generated_cache_.find(faults[j]);
-    if (it == generated_cache_.end())
-      it = generated_cache_
-               .emplace(faults[j], generate_test_on(*shard0_, faults[j]))
-               .first;
-    if (!it->second.sequence.has_value())
-      result.outcomes[j].sequence_index = *earlier;
   }
   result.stats.three_phase_seconds = three_phase_timer.seconds();
 

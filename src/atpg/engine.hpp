@@ -53,11 +53,12 @@
 //     prefix of the uncancelled run's, and every committed outcome is
 //     final.
 //   * Generated tests are memoized per fault across runs (each test is a
-//     pure function of the fault given the circuit/options), so
-//     add_faults() — which re-runs the cheap phases on the grown universe
-//     and reuses every cached search — produces a result byte-identical to
-//     a from-scratch run on the union universe while paying 3-phase cost
-//     only for genuinely new, still-uncovered faults.  add_faults({}) after
+//     pure function of the fault given the circuit/options).  add_faults()
+//     re-runs the whole flow on the grown universe: every fault still
+//     uncovered after the cheap phases whose search is not memoized is
+//     searched before the first commit, memoized searches are reused, so
+//     the result is byte-identical to a from-scratch run on the union
+//     universe and no search is ever paid for twice.  add_faults({}) after
 //     a cancelled run resumes it for the same reason.
 #pragma once
 
@@ -111,9 +112,9 @@ class AtpgEngine {
                  const CancelToken* cancel = nullptr);
 
   /// Grow the current universe by `faults` and run the flow on the union.
-  /// New faults are cross-simulated against the committed sequences before
-  /// any 3-phase search; cached searches are reused, so the result is
-  /// byte-identical to run(union) at a fraction of the cost.
+  /// Memoized searches are reused and every new still-uncovered fault is
+  /// searched before the first commit, so the result is byte-identical to
+  /// run(union) without redoing any earlier search.
   AtpgResult add_faults(const std::vector<Fault>& faults,
                         RunObserver* observer = nullptr,
                         const CancelToken* cancel = nullptr);
@@ -182,13 +183,14 @@ class AtpgEngine {
   /// The full deterministic flow over universe_ (shared by run/add_faults).
   AtpgResult run_universe(RunObserver* observer, const CancelToken* cancel);
   /// Fan the 3-phase search for `todo` (fault indices) out over the worker
-  /// shards, memoizing each completed search in generated_cache_.  Faults
-  /// skipped because `cancel` fired are left unmemoized (a later run
-  /// attempts them again).  Progress snapshots stream from the calling
-  /// thread between its own work blocks; `make_base` supplies a fresh
-  /// run-level snapshot (elapsed time, resolved counts) per emission, and
-  /// `shard_done` accumulates per-shard completed-search counts across
-  /// batches so later snapshots keep reporting them.
+  /// shards, memoizing each completed search in generated_cache_.  Called
+  /// once per run, before the merge, with every unmemoized fault the merge
+  /// may commit.  Faults skipped because `cancel` fired are left unmemoized
+  /// (a later run attempts them again).  Progress snapshots stream from the
+  /// calling thread between its own work blocks; `make_base` supplies a
+  /// fresh run-level snapshot (elapsed time, resolved counts) per emission.
+  /// Per-shard completed-search and steal counts are added to shard_done_ /
+  /// shard_steals_ so later snapshots keep reporting them.
   void generate_parallel(const std::vector<Fault>& faults,
                          const std::vector<std::size_t>& todo,
                          const CancelToken* cancel, RunObserver* observer,
@@ -229,8 +231,8 @@ class AtpgEngine {
   std::vector<Fault> universe_;
   /// Per-shard 3-phase searches completed / blocks stolen during the most
   /// recent run (index = worker slot).  Reset at the start of run_universe,
-  /// accumulated across its generation batches, reported by progress
-  /// snapshots and shard_bdd_stats().
+  /// filled by its generate_parallel call, reported by progress snapshots
+  /// and shard_bdd_stats().
   std::vector<std::size_t> shard_done_;
   std::vector<std::size_t> shard_steals_;
   /// Memoized 3-phase searches: presence means the search was *completed*

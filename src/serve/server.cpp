@@ -579,6 +579,9 @@ void Server::execute(const std::shared_ptr<Job>& job) {
     return;
   }
 
+  // engine_ms covers the whole job: parse or synthesis, the CSSG build and
+  // the run.
+  const auto t0 = std::chrono::steady_clock::now();
   Expected<Session> session =
       req.format == Request::CircuitFormat::Benchmark
           ? Session::from_benchmark(req.benchmark, req.style, req.options)
@@ -602,7 +605,6 @@ void Server::execute(const std::shared_ptr<Job>& job) {
   }
 
   JobObserver observer(job, config_.max_job_seconds);
-  const auto t0 = std::chrono::steady_clock::now();
   const Expected<AtpgResult> result =
       session->run(universe, &observer, &job->cancel);
   const double engine_ms = std::chrono::duration<double, std::milli>(

@@ -278,9 +278,28 @@ TEST(Cancellation, TokenAlreadyFiredYieldsEmptyRun) {
 
 // --- incremental runs ---------------------------------------------------------
 // add_faults() must behave as if the union universe had been run from
-// scratch: committed sequences are reused by cross-simulating the new
-// faults first, cached searches are never redone, and the merged result is
-// byte-identical — at every thread count.
+// scratch: cached searches are never redone, new faults are searched before
+// the first commit, every resolution event is final, and the merged result
+// is byte-identical — at every thread count.
+
+/// Records every on_fault_resolved event of one run.
+class ResolvedRecorder : public RunObserver {
+ public:
+  void on_fault_resolved(std::size_t index,
+                         const FaultOutcome& outcome) override {
+    events.emplace_back(index, outcome);
+  }
+  std::vector<std::pair<std::size_t, FaultOutcome>> events;
+};
+
+/// Sum of faults_done over every shard: the 3-phase searches the engine's
+/// most recent run paid for.
+std::size_t searches_done(const AtpgEngine& engine) {
+  std::size_t done = 0;
+  for (const ShardBddStats& shard : engine.shard_bdd_stats())
+    done += shard.faults_done;
+  return done;
+}
 
 void check_incremental(const Netlist& netlist, const std::vector<bool>& reset,
                        const std::vector<Fault>& faults,
@@ -298,10 +317,17 @@ void check_incremental(const Netlist& netlist, const std::vector<bool>& reset,
 
     AtpgEngine grown(netlist, reset, options);
     grown.run(first);
-    const AtpgResult incremental = grown.add_faults(rest);
+    ResolvedRecorder recorder;
+    const AtpgResult incremental = grown.add_faults(rest, &recorder);
     ASSERT_EQ(grown.universe().size(), faults.size());
     expect_identical(full, incremental, threads, name + "/incremental");
     EXPECT_EQ(full.sequences.size(), incremental.sequences.size());
+    // Every event reports the outcome the returned result holds.
+    EXPECT_FALSE(recorder.events.empty());
+    for (const auto& [index, outcome] : recorder.events) {
+      ASSERT_LT(index, incremental.outcomes.size());
+      EXPECT_EQ(outcome, incremental.outcomes[index]) << "fault " << index;
+    }
   }
 }
 
@@ -313,7 +339,7 @@ TEST(Incremental, MatchesFromScratchOnMmuBoundedDelay) {
 
 TEST(Incremental, MatchesFromScratchWithoutRandomPhase) {
   // random_budget = 0 forces everything through the 3-phase merge, so the
-  // incremental run exercises the cached-commit + catch-up machinery (and
+  // incremental run commits cached and freshly searched tests alike (and
   // vbe5b has two search-exhausted faults that must stay undetected).
   const auto synth = benchmark_circuit("vbe5b", SynthStyle::SpeedIndependent);
   check_incremental(synth.netlist, synth.reset_state,
@@ -356,9 +382,15 @@ TEST(Incremental, ResumeAfterCancelReproducesFullRun) {
     CancelAtCommit observer(token, 2);
     const AtpgResult partial = engine.run(faults, &observer, &token);
     ASSERT_TRUE(partial.cancelled);
+    ASSERT_GT(searches_done(engine), 0u);
     const AtpgResult resumed = engine.add_faults({});
     EXPECT_FALSE(resumed.cancelled);
     expect_identical(full, resumed, threads, "mmu/bd resume");
+    // The cancel fired at commit 2, after the up-front searches: resuming
+    // pays for none again, and neither does a rerun of the finished job.
+    EXPECT_EQ(searches_done(engine), 0u);
+    expect_identical(full, engine.add_faults({}), threads, "mmu/bd rerun");
+    EXPECT_EQ(searches_done(engine), 0u);
   }
 }
 

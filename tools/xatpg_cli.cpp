@@ -416,11 +416,13 @@ int fail(const Error& error) {
   return 1;
 }
 
-int cmd_run(Session& session, const CliArgs& args, std::ostream& out) {
+/// `t0` is taken before the Session factory, so cpu_ms covers parsing or
+/// synthesis and the CSSG build as well as the runs.
+int cmd_run(Session& session, const CliArgs& args, std::ostream& out,
+            std::chrono::steady_clock::time_point t0) {
   StderrObserver observer;
   RunObserver* obs = args.progress ? &observer : nullptr;
 
-  const auto t0 = std::chrono::steady_clock::now();
   std::optional<AtpgResult> out_result, in_result;
   if (args.faults == "output" || args.faults == "both") {
     auto r = session.run(session.output_stuck_faults(), obs);
@@ -874,6 +876,7 @@ int main(int argc, char** argv) {
   if (args.command == "serve") return cmd_serve(args);
   if (args.command == "client") return cmd_client(args);
 
+  const auto t0 = std::chrono::steady_clock::now();
   Expected<Session> session =
       looks_like_bench_file(args.circuit)
           ? Session::from_bench_file(args.circuit, args.options)
@@ -882,7 +885,7 @@ int main(int argc, char** argv) {
           : Session::from_benchmark(args.circuit, args.style, args.options);
   if (!session) return fail(session.error());
 
-  if (args.command == "run") return cmd_run(*session, args, out);
+  if (args.command == "run") return cmd_run(*session, args, out, t0);
   if (args.command == "cssg") return cmd_cssg(*session, args, out);
   return cmd_export(*session, args, out);
 }

@@ -25,7 +25,6 @@ void analyze(const Netlist& netlist, const std::vector<bool>& reset) {
   std::printf("%-14s | %-8s | %-20s | %s\n", "stable state", "pattern",
               "exact analysis", "ternary");
   const auto stables = explicit_stable_reachable(netlist, reset, 32);
-  TernarySim sim(netlist);
   const std::size_t m = netlist.inputs().size();
   for (const auto& state : stables) {
     for (std::uint64_t bits = 0; bits < (1ull << m); ++bits) {
@@ -37,7 +36,7 @@ void analyze(const Netlist& netlist, const std::vector<bool>& reset) {
       }
       if (same) continue;
       const auto exact = explore_settling(netlist, state, vec, 32);
-      const auto ternary = sim.settle(state, vec);
+      const auto ternary = ternary_settle(netlist, state, vec);
       std::string verdict;
       if (exact.confluent()) {
         verdict = "valid vector";

@@ -10,7 +10,6 @@
 #include "benchmarks/benchmarks.hpp"
 #include "sgraph/cssg.hpp"
 #include "sim/explicit.hpp"
-#include "sim/parallel.hpp"
 #include "sim/ternary.hpp"
 #include "atpg/fault.hpp"
 #include "util/random.hpp"
@@ -54,18 +53,6 @@ void BM_BddRelProduct(benchmark::State& state) {
     benchmark::DoNotOptimize(enc.mgr().and_exists(relation, set, cube));
 }
 BENCHMARK(BM_BddRelProduct);
-
-void BM_TernarySettle(benchmark::State& state) {
-  const SynthResult synth =
-      benchmark_circuit("mmu", SynthStyle::BoundedDelay);
-  TernarySim sim(synth.netlist);
-  std::vector<bool> vec;
-  for (const SignalId in : synth.netlist.inputs())
-    vec.push_back(!synth.reset_state[in]);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(sim.settle(synth.reset_state, vec));
-}
-BENCHMARK(BM_TernarySettle);
 
 void BM_Parallel64LaneSettle(benchmark::State& state) {
   const SynthResult synth =

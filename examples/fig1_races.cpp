@@ -38,8 +38,7 @@ int main() {
     std::cout << "    ";
     show(fig1a, st);
   }
-  TernarySim sim_a(fig1a);
-  const auto ternary = sim_a.settle(reset_a, {true, false});
+  const auto ternary = ternary_settle(fig1a, reset_a, {true, false});
   std::cout << "  ternary simulation marks the racing signals Φ: y="
             << (ternary.state[fig1a.signal("y")] == Ternary::X ? "Φ" : "01")
             << " — the vector is rejected for testing\n";

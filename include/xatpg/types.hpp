@@ -17,7 +17,7 @@
 namespace xatpg {
 
 class Netlist;        // internal: netlist/netlist.hpp
-struct LaneInjection;  // internal: sim/parallel.hpp
+struct LaneInjection;  // internal: sim/ternary.hpp
 
 /// Signal identifier: index of the gate driving the signal.
 using SignalId = std::uint32_t;

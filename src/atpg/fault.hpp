@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "netlist/netlist.hpp"
-#include "sim/parallel.hpp"
+#include "sim/ternary.hpp"
 #include "xatpg/types.hpp"  // Fault (public API type)
 
 namespace xatpg {

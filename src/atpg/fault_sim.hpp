@@ -20,7 +20,7 @@
 //
 // This is the exact-race strengthening of the paper's ternary detector: the
 // two agree when ternary resolves, and the exact detector additionally
-// credits detections ternary reports as Φ.  TernaryFaultScreen below is the
+// credits detections ternary reports as Φ.  ternary_screen below is the
 // word-parallel ternary pass the paper uses for cheap screening; it is
 // sound (definite mismatch => every execution mismatches) but incomplete.
 #pragma once

@@ -68,7 +68,7 @@ struct Gate {
 };
 
 /// Minimal algebra concept used by eval_gate.  Implementations exist for
-/// bool (sim), two-rail ternary words (sim/parallel), and Bdd (sgraph).
+/// bool (sim), two-rail ternary words (sim/ternary), and Bdd (sgraph).
 ///
 ///   V zero(), V one(), V and_(V,V), V or_(V,V), V not_(V)
 ///

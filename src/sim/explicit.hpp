@@ -2,10 +2,13 @@
 //
 // Enumerates *all* interleavings of excited-gate firings after an input
 // pattern is applied to a stable state (the "competition between sensitized
-// paths" of §2).  Exact but exponential — used as a test oracle for the
-// conservative ternary simulator and for cross-validating the symbolic
-// TCR_k/CSSG computation, and by bench_fig1 to demonstrate non-confluence
-// and oscillation on the paper's Figure 1 circuits.
+// paths" of §2).  Exact but exponential, with the bound k of TCR_k on
+// every trajectory.  It is the production kernel of FaultSimulator, which
+// settles every consistent faulty state with it during exact fault-sim
+// confirmation (most of the time of a pre-built netlist run goes here).  It
+// is also the test oracle for the conservative ternary simulator and for the
+// symbolic TCR_k/CSSG computation, and bench_fig1 uses it to demonstrate
+// non-confluence and oscillation on the paper's Figure 1 circuits.
 #pragma once
 
 #include <cstdint>

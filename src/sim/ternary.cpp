@@ -4,26 +4,150 @@
 
 namespace xatpg {
 
-Ternary ternary_lub(Ternary a, Ternary b) {
-  if (a == b) return a;
-  return Ternary::X;
+Ternary rail_lane(const Rail& r, unsigned lane) {
+  const bool can1 = (r.r1 >> lane) & 1;
+  const bool can0 = (r.r0 >> lane) & 1;
+  if (can1 && can0) return Ternary::X;
+  if (can1) return Ternary::V1;
+  XATPG_CHECK_MSG(can0, "lane has neither rail set");
+  return Ternary::V0;
 }
 
-Ternary ternary_and(Ternary a, Ternary b) {
-  if (a == Ternary::V0 || b == Ternary::V0) return Ternary::V0;
-  if (a == Ternary::V1 && b == Ternary::V1) return Ternary::V1;
-  return Ternary::X;
+void set_rail_lane(Rail& r, unsigned lane, Ternary t) {
+  const std::uint64_t bit = 1ull << lane;
+  r.r1 &= ~bit;
+  r.r0 &= ~bit;
+  if (t != Ternary::V0) r.r1 |= bit;
+  if (t != Ternary::V1) r.r0 |= bit;
 }
 
-Ternary ternary_or(Ternary a, Ternary b) {
-  if (a == Ternary::V1 || b == Ternary::V1) return Ternary::V1;
-  if (a == Ternary::V0 && b == Ternary::V0) return Ternary::V0;
-  return Ternary::X;
+namespace {
+/// Force the lanes in `mask` of rail r to the definite value v.
+inline void force_lanes(Rail& r, std::uint64_t mask, bool v) {
+  if (v) {
+    r.r1 |= mask;
+    r.r0 &= ~mask;
+  } else {
+    r.r0 |= mask;
+    r.r1 &= ~mask;
+  }
+}
+}  // namespace
+
+ParallelTernarySim::ParallelTernarySim(const Netlist& netlist,
+                                       std::vector<LaneInjection> injections)
+    : netlist_(&netlist), injections_(std::move(injections)) {
+  pin_faults_.resize(netlist.num_signals());
+  output_faults_.resize(netlist.num_signals());
+  for (std::uint32_t i = 0; i < injections_.size(); ++i) {
+    const LaneInjection& inj = injections_[i];
+    XATPG_CHECK(inj.gate < netlist.num_signals());
+    if (inj.site == LaneInjection::Site::GatePin) {
+      XATPG_CHECK(inj.pin < netlist.gate(inj.gate).fanins.size());
+      pin_faults_[inj.gate].push_back(i);
+    } else {
+      output_faults_[inj.gate].push_back(i);
+    }
+  }
+  state_.assign(netlist.num_signals(), rail_all(Ternary::V0));
 }
 
-Ternary ternary_not(Ternary a) {
-  if (a == Ternary::X) return Ternary::X;
-  return a == Ternary::V0 ? Ternary::V1 : Ternary::V0;
+void ParallelTernarySim::load_state(const std::vector<bool>& state) {
+  XATPG_CHECK(state.size() == netlist_->num_signals());
+  for (SignalId s = 0; s < state.size(); ++s)
+    state_[s] = rail_all(to_ternary(state[s]));
+  inject_output_faults();
+}
+
+Rail ParallelTernarySim::eval_target(SignalId s) const {
+  const Gate& g = netlist_->gate(s);
+  std::vector<Rail> fanin_vals;
+  fanin_vals.reserve(g.fanins.size());
+  for (const SignalId f : g.fanins) fanin_vals.push_back(state_[f]);
+  // Pin-level stuck-at injection: override the faulty lanes of the faulty
+  // pin before evaluating the gate function.
+  for (const std::uint32_t idx : pin_faults_[s]) {
+    const LaneInjection& inj = injections_[idx];
+    force_lanes(fanin_vals[inj.pin], inj.lanes, inj.stuck_value);
+  }
+  Rail target = eval_gate(g, fanin_vals, state_[s], RailOps{});
+  // Output stuck-at: the gate output is tied regardless of the function.
+  for (const std::uint32_t idx : output_faults_[s]) {
+    const LaneInjection& inj = injections_[idx];
+    force_lanes(target, inj.lanes, inj.stuck_value);
+  }
+  return target;
+}
+
+void ParallelTernarySim::inject_output_faults() {
+  for (SignalId s = 0; s < netlist_->num_signals(); ++s)
+    for (const std::uint32_t idx : output_faults_[s]) {
+      const LaneInjection& inj = injections_[idx];
+      force_lanes(state_[s], inj.lanes, inj.stuck_value);
+    }
+}
+
+void ParallelTernarySim::settle(const std::vector<bool>& input_values) {
+  XATPG_CHECK(input_values.size() == netlist_->inputs().size());
+  // Drive the primary inputs.  Inputs that change are set directly to the
+  // new value: per the paper's model an input buffer's delay is the input
+  // gate itself, and the test-cycle relation R_I flips inputs atomically on
+  // a stable state before any gate reacts.
+  for (std::size_t i = 0; i < input_values.size(); ++i) {
+    SignalId in = netlist_->inputs()[i];
+    state_[in] = rail_all(to_ternary(input_values[i]));
+    // Output stuck-at faults on an input buffer still pin its value.
+    for (const std::uint32_t idx : output_faults_[in]) {
+      const LaneInjection& inj = injections_[idx];
+      force_lanes(state_[in], inj.lanes, inj.stuck_value);
+    }
+  }
+
+  // Algorithm A: x := lub(x, f(x)) to the fixpoint.  Monotone
+  // non-decreasing in the information order, so it is reached in at most
+  // num_signals ascents, each pass doing n evaluations (the O(n^2) bound
+  // cited in the paper from [6]).
+  const RailOps ops;
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (SignalId s = 0; s < netlist_->num_signals(); ++s) {
+      if (netlist_->is_input(s)) continue;  // held by the environment
+      const Rail next = ops.lub(state_[s], eval_target(s));
+      if (!(next == state_[s])) {
+        state_[s] = next;
+        changed = true;
+      }
+    }
+  }
+  // Algorithm B: x := f(x) to the fixpoint.  Started from the Algorithm A
+  // fixpoint this is monotone non-increasing, so it converges; the cap is a
+  // defensive bound only.
+  const std::size_t cap = 4 * netlist_->num_signals() + 8;
+  for (std::size_t pass = 0; pass < cap; ++pass) {
+    changed = false;
+    for (SignalId s = 0; s < netlist_->num_signals(); ++s) {
+      if (netlist_->is_input(s)) continue;
+      const Rail target = eval_target(s);
+      if (!(target == state_[s])) {
+        state_[s] = target;
+        changed = true;
+      }
+    }
+    if (!changed) return;
+  }
+  XATPG_CHECK_MSG(false, "Algorithm B did not converge (internal error)");
+}
+
+std::uint64_t ParallelTernarySim::lanes_definite(SignalId s, bool v) const {
+  const Rail& r = state_[s];
+  return v ? (r.r1 & ~r.r0) : (r.r0 & ~r.r1);
+}
+
+std::uint64_t ParallelTernarySim::lanes_with_unknown() const {
+  std::uint64_t mask = 0;
+  for (const Rail& r : state_) mask |= (r.r1 & r.r0);
+  return mask;
 }
 
 std::vector<bool> SettleResult::final_state() const {
@@ -34,100 +158,25 @@ std::vector<bool> SettleResult::final_state() const {
   return out;
 }
 
-std::size_t SettleResult::num_unknown() const {
-  std::size_t n = 0;
-  for (const Ternary t : state)
-    if (t == Ternary::X) ++n;
-  return n;
-}
-
-TernarySim::TernarySim(const Netlist& netlist) : netlist_(&netlist) {}
-
-Ternary TernarySim::eval_gate_ternary(SignalId s,
-                                      const std::vector<Ternary>& state) const {
-  const Gate& g = netlist_->gate(s);
-  std::vector<Ternary> fanin_vals;
-  fanin_vals.reserve(g.fanins.size());
-  for (const SignalId f : g.fanins) fanin_vals.push_back(state[f]);
-  return eval_gate(g, fanin_vals, state[s], TernaryOps{});
-}
-
-void TernarySim::algorithm_a(std::vector<Ternary>& state) const {
-  // Monotone non-decreasing in the information order; the fixpoint is
-  // reached in at most num_signals ascents, each pass doing n evaluations
-  // (the O(n^2) bound cited in the paper from [6]).
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (SignalId s = 0; s < netlist_->num_signals(); ++s) {
-      if (netlist_->is_input(s)) continue;  // held by the environment
-      const Ternary target = eval_gate_ternary(s, state);
-      const Ternary next = ternary_lub(state[s], target);
-      if (next != state[s]) {
-        state[s] = next;
-        changed = true;
-      }
-    }
-  }
-}
-
-void TernarySim::algorithm_b(std::vector<Ternary>& state) const {
-  // Started from the Algorithm A fixpoint this is monotone non-increasing,
-  // so it converges; the cap is a defensive bound only.
-  const std::size_t cap = 4 * netlist_->num_signals() + 8;
-  for (std::size_t pass = 0; pass < cap; ++pass) {
-    bool changed = false;
-    for (SignalId s = 0; s < netlist_->num_signals(); ++s) {
-      if (netlist_->is_input(s)) continue;
-      const Ternary target = eval_gate_ternary(s, state);
-      if (target != state[s]) {
-        state[s] = target;
-        changed = true;
-      }
-    }
-    if (!changed) return;
-  }
-  XATPG_CHECK_MSG(false, "Algorithm B did not converge (internal error)");
-}
-
-SettleResult TernarySim::settle(const std::vector<bool>& from,
-                                const std::vector<bool>& input_values) const {
-  std::vector<Ternary> state;
-  state.reserve(from.size());
-  for (const bool b : from) state.push_back(to_ternary(b));
-  return settle(state, input_values);
-}
-
-SettleResult TernarySim::settle(const std::vector<Ternary>& from,
-                                const std::vector<bool>& input_values) const {
-  XATPG_CHECK(from.size() == netlist_->num_signals());
-  XATPG_CHECK(input_values.size() == netlist_->inputs().size());
+SettleResult ternary_settle(const Netlist& netlist,
+                            const std::vector<bool>& from,
+                            const std::vector<bool>& input_values) {
+  ParallelTernarySim sim(netlist);
+  sim.load_state(from);
+  sim.settle(input_values);
   SettleResult result;
-  result.state = from;
-  // Drive the primary inputs.  Inputs that change are set directly to the
-  // new value: per the paper's model an input buffer's delay is the input
-  // gate itself, and the test-cycle relation R_I flips inputs atomically on
-  // a stable state before any gate reacts.
-  for (std::size_t i = 0; i < input_values.size(); ++i)
-    result.state[netlist_->inputs()[i]] = to_ternary(input_values[i]);
-
-  algorithm_a(result.state);
-  algorithm_b(result.state);
-  result.confluent = true;
-  for (const Ternary t : result.state)
-    if (t == Ternary::X) {
-      result.confluent = false;
-      break;
-    }
+  result.confluent = (sim.lanes_with_unknown() & 1ull) == 0;
+  result.state.reserve(netlist.num_signals());
+  for (SignalId s = 0; s < netlist.num_signals(); ++s)
+    result.state.push_back(sim.value(s, 0));
   return result;
 }
 
 bool settle_to_stable(const Netlist& netlist, std::vector<bool>& state) {
-  TernarySim sim(netlist);
   std::vector<bool> inputs;
   inputs.reserve(netlist.inputs().size());
   for (const SignalId s : netlist.inputs()) inputs.push_back(state[s]);
-  const SettleResult result = sim.settle(state, inputs);
+  const SettleResult result = ternary_settle(netlist, state, inputs);
   if (!result.confluent) return false;
   state = result.final_state();
   return true;

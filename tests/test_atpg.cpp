@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <sstream>
 
 #include "atpg/fault.hpp"
@@ -123,6 +125,61 @@ TEST(TernaryScreen, SoundOnChain) {
     }
     EXPECT_TRUE(exact_detected)
         << faults[idx].describe(n) << ": ternary claimed, exact disagrees";
+  }
+}
+
+TEST(TernaryScreen, FullBatchMatchesFaultsAlone) {
+  // The merge screens up to 63 faults per pass, one per lane, which is only
+  // sound if the lanes leave each other alone.  On Table 1 and Table 2
+  // circuits, screening full batches along a walk of valid vectors must
+  // detect exactly the union of screening each fault by itself.
+  const std::pair<const char*, SynthStyle> circuits[] = {
+      {"rpdft", SynthStyle::SpeedIndependent},
+      {"chu150", SynthStyle::SpeedIndependent},
+      {"mmu", SynthStyle::BoundedDelay}};
+  for (const auto& [name, style] : circuits) {
+    const SynthResult synth = benchmark_circuit(name, style);
+    const Netlist& n = synth.netlist;
+    const std::vector<bool>& reset = synth.reset_state;
+    // Flip one input per cycle, round robin, keeping the vectors the exact
+    // explorer proves valid (a unique settlement within the bound).
+    std::vector<std::vector<bool>> walk;
+    std::vector<bool> state = reset;
+    const std::size_t m = n.inputs().size();
+    for (std::size_t step = 0; step < 4 * m && walk.size() < 6; ++step) {
+      std::vector<bool> vec;
+      for (const SignalId in : n.inputs()) vec.push_back(state[in]);
+      vec[step % m] = !vec[step % m];
+      const ExploreResult exact = explore_settling(n, state, vec, 24);
+      if (!exact.confluent()) continue;
+      walk.push_back(vec);
+      state = *exact.stable_states.begin();
+    }
+    ASSERT_GE(walk.size(), 3u) << name;
+
+    std::vector<Fault> faults = input_stuck_faults(n);
+    for (const Fault& f : output_stuck_faults(n)) faults.push_back(f);
+    std::set<std::size_t> alone;
+    for (std::size_t i = 0; i < faults.size(); ++i)
+      if (!ternary_screen(n, reset, {faults[i]}, walk).empty())
+        alone.insert(i);
+    EXPECT_FALSE(alone.empty()) << name;
+    // Every batch is full: lane j+1 carries fault (first + j) mod |faults|,
+    // so small universes repeat faults in other lanes.
+    const std::size_t lanes = std::max<std::size_t>(faults.size(), 63);
+    for (std::size_t first = 0; first < lanes; first += 63) {
+      std::vector<Fault> batch;
+      for (std::size_t j = 0; j < 63; ++j)
+        batch.push_back(faults[(first + j) % faults.size()]);
+      const std::vector<std::size_t> hits =
+          ternary_screen(n, reset, batch, walk);
+      const std::set<std::size_t> hit(hits.begin(), hits.end());
+      for (std::size_t j = 0; j < 63; ++j) {
+        const std::size_t fi = (first + j) % faults.size();
+        EXPECT_EQ(hit.count(j), alone.count(fi))
+            << name << " lane " << j + 1 << ": " << faults[fi].describe(n);
+      }
+    }
   }
 }
 

@@ -226,9 +226,9 @@ TEST(Fig1Circuits, MatchPaperBehaviour) {
   const Netlist b = fig1b_circuit(&st_b);
   EXPECT_TRUE(a.is_stable_state(st_a));
   EXPECT_TRUE(b.is_stable_state(st_b));
-  TernarySim sim_a(a), sim_b(b);
-  EXPECT_FALSE(sim_a.settle(st_a, {true, false}).confluent);  // race
-  EXPECT_FALSE(sim_b.settle(st_b, {true, false}).confluent);  // oscillation
+  // AB = 10 races in (a) and starts the oscillation in (b).
+  EXPECT_FALSE(ternary_settle(a, st_a, {true, false}).confluent);
+  EXPECT_FALSE(ternary_settle(b, st_b, {true, false}).confluent);
 }
 
 }  // namespace

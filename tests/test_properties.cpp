@@ -12,7 +12,6 @@
 #include "fixtures.hpp"
 #include "sgraph/cssg.hpp"
 #include "sim/explicit.hpp"
-#include "sim/parallel.hpp"
 #include "sim/ternary.hpp"
 #include "util/random.hpp"
 
@@ -110,7 +109,6 @@ TEST_P(FaultEquivalence, MaterializedNetlistMatchesLaneInjection) {
   for (std::size_t fi = 0; fi < faults.size(); ++fi) {
     const Fault& fault = faults[fi];
     const Netlist faulty = apply_fault(good, fault);
-    TernarySim faulty_scalar(faulty);
     ParallelTernarySim par(good, {fault.to_injection(1ull << 1)});
 
     std::vector<bool> vec;
@@ -121,15 +119,15 @@ TEST_P(FaultEquivalence, MaterializedNetlistMatchesLaneInjection) {
     par.load_state(synth.reset_state);
     par.settle(vec);
 
-    // Scalar run on the materialized netlist.
-    const auto scalar = faulty_scalar.settle(
-        fault_initial_state(good, fault, synth.reset_state),
+    // Uninjected settle of the materialized netlist.
+    const auto materialized = ternary_settle(
+        faulty, fault_initial_state(good, fault, synth.reset_state),
         map_input_vector(good, faulty, vec));
 
     for (SignalId s = 0; s < good.num_signals(); ++s) {
       if (fault.site == Fault::Site::SignalOutput && fault.gate == s) continue;
       const Ternary lane = par.value(s, 1);
-      const Ternary mat = scalar.state[s];
+      const Ternary mat = materialized.state[s];
       if (lane != Ternary::X && mat != Ternary::X) {
         EXPECT_EQ(lane, mat) << GetParam() << " " << fault.describe(good)
                              << " signal " << good.signal_name(s);
@@ -167,12 +165,11 @@ TEST_P(RandomNetlistProperty, TernaryNeverMissesARace) {
   // and a definite ternary settle implies a unique exact outcome.
   const fixtures::Circuit fix = fixtures::random_netlist(GetParam());
   const Netlist& n = fix.netlist;
-  TernarySim sim(n);
   const std::size_t m = n.inputs().size();
   for (std::uint64_t bits = 0; bits < (1ull << m); ++bits) {
     std::vector<bool> vec(m);
     for (std::size_t i = 0; i < m; ++i) vec[i] = (bits >> i) & 1;
-    const auto ternary = sim.settle(fix.reset, vec);
+    const auto ternary = ternary_settle(n, fix.reset, vec);
     const auto exact = explore_settling(n, fix.reset, vec, 40);
     if (exact.stable_states.size() >= 2) {
       EXPECT_FALSE(ternary.confluent) << n.name() << " vector " << bits;

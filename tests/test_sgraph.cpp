@@ -188,10 +188,9 @@ TEST_F(CssgFig1a, JustifyReachesTarget) {
   ASSERT_TRUE(just.has_value());
   // Replay the vectors with ternary simulation; must be confluent at every
   // step and land on the target.
-  TernarySim sim(netlist);
   std::vector<bool> state = just->reset_state;
   for (const auto& vec : just->vectors) {
-    const auto settled = sim.settle(state, vec);
+    const auto settled = ternary_settle(netlist, state, vec);
     ASSERT_TRUE(settled.confluent);
     state = settled.final_state();
   }

@@ -3,7 +3,6 @@
 #include "fixtures.hpp"
 #include "netlist/netlist.hpp"
 #include "sim/explicit.hpp"
-#include "sim/parallel.hpp"
 #include "sim/ternary.hpp"
 
 namespace xatpg {
@@ -13,34 +12,35 @@ using fixtures::Circuit;
 
 TEST(TernaryAlgebra, TruthTables) {
   using T = Ternary;
-  EXPECT_EQ(ternary_and(T::V1, T::V1), T::V1);
-  EXPECT_EQ(ternary_and(T::V0, T::X), T::V0);  // 0 dominates
-  EXPECT_EQ(ternary_and(T::X, T::V1), T::X);
-  EXPECT_EQ(ternary_or(T::V1, T::X), T::V1);  // 1 dominates
-  EXPECT_EQ(ternary_or(T::V0, T::X), T::X);
-  EXPECT_EQ(ternary_not(T::X), T::X);
-  EXPECT_EQ(ternary_not(T::V0), T::V1);
-  EXPECT_EQ(ternary_lub(T::V0, T::V0), T::V0);
-  EXPECT_EQ(ternary_lub(T::V0, T::V1), T::X);
-  EXPECT_EQ(ternary_lub(T::X, T::V1), T::X);
+  const RailOps ops;
+  const auto lane = [](const Rail& r) { return rail_lane(r, 0); };
+  const auto all = [](T t) { return rail_all(t); };
+  EXPECT_EQ(lane(ops.and_(all(T::V1), all(T::V1))), T::V1);
+  EXPECT_EQ(lane(ops.and_(all(T::V0), all(T::X))), T::V0);  // 0 dominates
+  EXPECT_EQ(lane(ops.and_(all(T::X), all(T::V1))), T::X);
+  EXPECT_EQ(lane(ops.or_(all(T::V1), all(T::X))), T::V1);  // 1 dominates
+  EXPECT_EQ(lane(ops.or_(all(T::V0), all(T::X))), T::X);
+  EXPECT_EQ(lane(ops.not_(all(T::X))), T::X);
+  EXPECT_EQ(lane(ops.not_(all(T::V0))), T::V1);
+  EXPECT_EQ(lane(ops.lub(all(T::V0), all(T::V0))), T::V0);
+  EXPECT_EQ(lane(ops.lub(all(T::V0), all(T::V1))), T::X);
+  EXPECT_EQ(lane(ops.lub(all(T::X), all(T::V1))), T::X);
 }
 
-TEST(TernarySimTest, StableInputNoChangeStaysStable) {
+TEST(TernarySettle, StableInputNoChangeStaysStable) {
   const Circuit fix = fixtures::chain();
   const Netlist& n = fix.netlist;
   const std::vector<bool>& st = fix.reset;  // A=0, n=1, y=0
   ASSERT_TRUE(n.is_stable_state(st));
-  TernarySim sim(n);
-  const auto result = sim.settle(st, {false});
+  const auto result = ternary_settle(n, st, {false});
   EXPECT_TRUE(result.confluent);
   EXPECT_EQ(result.final_state(), st);
 }
 
-TEST(TernarySimTest, CombinationalChainSettles) {
+TEST(TernarySettle, CombinationalChainSettles) {
   const Circuit fix = fixtures::chain();
   const Netlist& n = fix.netlist;
-  TernarySim sim(n);
-  const auto result = sim.settle(fix.reset, {true});
+  const auto result = ternary_settle(n, fix.reset, {true});
   ASSERT_TRUE(result.confluent);
   const auto fin = result.final_state();
   EXPECT_TRUE(fin[n.signal("A")]);
@@ -48,53 +48,49 @@ TEST(TernarySimTest, CombinationalChainSettles) {
   EXPECT_TRUE(fin[n.signal("y")]);
 }
 
-TEST(TernarySimTest, DetectsNonConfluenceInFig1a) {
+TEST(TernarySettle, DetectsNonConfluenceInFig1a) {
   const Circuit fix = fixtures::fig1a();
   const Netlist& n = fix.netlist;
-  TernarySim sim(n);
   // Apply AB = 10: a rising races b falling; y may or may not latch.
-  const auto result = sim.settle(fix.reset, {true, false});
+  const auto result = ternary_settle(n, fix.reset, {true, false});
   EXPECT_FALSE(result.confluent);
   // The racing signal y must be marked unknown.
   EXPECT_EQ(result.state[n.signal("y")], Ternary::X);
 }
 
-TEST(TernarySimTest, Fig1aSafeVectorIsConfluent) {
+TEST(TernarySettle, Fig1aSafeVectorIsConfluent) {
   const Circuit fix = fixtures::fig1a();
   const Netlist& n = fix.netlist;
-  TernarySim sim(n);
   // Raising only A (B stays 1) makes c rise and latch y deterministically.
-  const auto result = sim.settle(fix.reset, {true, true});
+  const auto result = ternary_settle(n, fix.reset, {true, true});
   ASSERT_TRUE(result.confluent);
   const auto fin = result.final_state();
   EXPECT_TRUE(fin[n.signal("c")]);
   EXPECT_TRUE(fin[n.signal("y")]);
 }
 
-TEST(TernarySimTest, DetectsOscillationInFig1b) {
+TEST(TernarySettle, DetectsOscillationInFig1b) {
   const Circuit fix = fixtures::fig1b();
   const Netlist& n = fix.netlist;
-  TernarySim sim(n);
   // Raising A with B=0 starts the c/d oscillation.
-  const auto result = sim.settle(fix.reset, {true, false});
+  const auto result = ternary_settle(n, fix.reset, {true, false});
   EXPECT_FALSE(result.confluent);
   EXPECT_EQ(result.state[n.signal("c")], Ternary::X);
   EXPECT_EQ(result.state[n.signal("d")], Ternary::X);
 }
 
-TEST(TernarySimTest, Fig1bBreakingTheRingIsConfluent) {
+TEST(TernarySettle, Fig1bBreakingTheRingIsConfluent) {
   const Circuit fix = fixtures::fig1b();
   const Netlist& n = fix.netlist;
-  TernarySim sim(n);
   // Raising A and B together: d is held at 1 by b, c falls to !a = 0.
-  const auto result = sim.settle(fix.reset, {true, true});
+  const auto result = ternary_settle(n, fix.reset, {true, true});
   ASSERT_TRUE(result.confluent);
   const auto fin = result.final_state();
   EXPECT_FALSE(fin[n.signal("c")]);
   EXPECT_TRUE(fin[n.signal("d")]);
 }
 
-TEST(TernarySimTest, SettleToStableHelper) {
+TEST(TernarySettle, SettleToStableHelper) {
   const Netlist n = parse_xnl_string(fixtures::kChainXnl);
   std::vector<bool> st(n.num_signals(), false);  // A=0,n=0,y=0: n excited
   EXPECT_TRUE(settle_to_stable(n, st));
@@ -154,7 +150,6 @@ TEST(ExplicitExplore, TernaryVsExplicitRelationship) {
   for (const Circuit& fix :
        {fixtures::fig1a(), fixtures::fig1b(), fixtures::chain()}) {
     const Netlist& n = fix.netlist;
-    TernarySim sim(n);
     const std::size_t m = n.inputs().size();
     const auto stables = explicit_stable_reachable(n, fix.reset, 30);
     for (const auto& st : stables) {
@@ -166,7 +161,7 @@ TEST(ExplicitExplore, TernaryVsExplicitRelationship) {
           same = same && (vec[i] == st[n.inputs()[i]]);
         }
         if (same) continue;
-        const auto ternary = sim.settle(st, vec);
+        const auto ternary = ternary_settle(n, st, vec);
         const auto exact = explore_settling(n, st, vec, 50);
         if (exact.stable_states.size() >= 2) {
           EXPECT_FALSE(ternary.confluent)
@@ -189,7 +184,7 @@ TEST(ExplicitExplore, StableReachableContainsReset) {
   EXPECT_EQ(states.size(), 2u);  // A=0 and A=1 settlements
 }
 
-// --- parallel two-rail simulation -------------------------------------------
+// --- two-rail lanes and fault injection ------------------------------------
 
 TEST(RailAlgebra, LaneRoundTrip) {
   Rail r = rail_all(Ternary::V0);
@@ -200,30 +195,58 @@ TEST(RailAlgebra, LaneRoundTrip) {
   EXPECT_EQ(rail_lane(r, 9), Ternary::X);
 }
 
-TEST(RailAlgebra, MatchesScalarTernary) {
-  const Ternary vals[] = {Ternary::V0, Ternary::V1, Ternary::X};
-  RailOps ops;
-  for (const Ternary a : vals)
-    for (const Ternary b : vals) {
-      Rail ra = rail_all(a), rb = rail_all(b);
-      EXPECT_EQ(rail_lane(ops.and_(ra, rb), 13), ternary_and(a, b));
-      EXPECT_EQ(rail_lane(ops.or_(ra, rb), 13), ternary_or(a, b));
-      EXPECT_EQ(rail_lane(ops.not_(ra), 13), ternary_not(a));
+TEST(RailAlgebra, PointwiseKleeneTables) {
+  // The lane-wise lift of Kleene's strong three-valued logic, checked
+  // against literal tables.  Lane 3*i+j carries the pair (vals[i], vals[j]),
+  // so one word evaluates all nine pairs at once and a lane that leaked
+  // into its neighbour would show.
+  using T = Ternary;
+  const T vals[] = {T::V0, T::V1, T::X};
+  const T and_table[3][3] = {
+      {T::V0, T::V0, T::V0}, {T::V0, T::V1, T::X}, {T::V0, T::X, T::X}};
+  const T or_table[3][3] = {
+      {T::V0, T::V1, T::X}, {T::V1, T::V1, T::V1}, {T::X, T::V1, T::X}};
+  const T lub_table[3][3] = {
+      {T::V0, T::X, T::X}, {T::X, T::V1, T::X}, {T::X, T::X, T::X}};
+  const T not_table[3] = {T::V1, T::V0, T::X};
+  Rail ra = rail_all(T::V0), rb = rail_all(T::V0);
+  for (unsigned i = 0; i < 3; ++i)
+    for (unsigned j = 0; j < 3; ++j) {
+      set_rail_lane(ra, 3 * i + j, vals[i]);
+      set_rail_lane(rb, 3 * i + j, vals[j]);
+    }
+  const RailOps ops;
+  const Rail r_and = ops.and_(ra, rb), r_or = ops.or_(ra, rb);
+  const Rail r_lub = ops.lub(ra, rb), r_not = ops.not_(ra);
+  for (unsigned i = 0; i < 3; ++i)
+    for (unsigned j = 0; j < 3; ++j) {
+      const unsigned lane = 3 * i + j;
+      EXPECT_EQ(rail_lane(r_and, lane), and_table[i][j]) << i << "," << j;
+      EXPECT_EQ(rail_lane(r_or, lane), or_table[i][j]) << i << "," << j;
+      EXPECT_EQ(rail_lane(r_lub, lane), lub_table[i][j]) << i << "," << j;
+      EXPECT_EQ(rail_lane(r_not, lane), not_table[i]) << i;
     }
 }
 
-TEST(ParallelSim, FaultFreeLaneMatchesScalar) {
-  const Circuit fix = fixtures::fig1a();
-  const Netlist& n = fix.netlist;
-  TernarySim scalar(n);
-  ParallelTernarySim par(n, {});
-  const std::vector<bool>& st = fix.reset;
-  const std::vector<bool> vec{true, true};
-  const auto scalar_result = scalar.settle(st, vec);
-  par.load_state(st);
-  par.settle(vec);
-  for (SignalId s = 0; s < n.num_signals(); ++s)
-    EXPECT_EQ(par.value(s, 0), scalar_result.state[s]) << "signal " << s;
+TEST(ParallelSim, UninjectedLanesAgree) {
+  // Without injections every lane holds the same value, which is what lets
+  // ternary_settle read a single-state settle off lane 0.  Covers a
+  // confluent vector, a race and an oscillation.
+  for (const Circuit& fix : {fixtures::fig1a(), fixtures::fig1b()}) {
+    for (const std::vector<bool>& vec :
+         {std::vector<bool>{true, true}, std::vector<bool>{true, false}}) {
+      ParallelTernarySim par(fix.netlist);
+      par.load_state(fix.reset);
+      par.settle(vec);
+      for (SignalId s = 0; s < fix.netlist.num_signals(); ++s) {
+        for (unsigned lane = 1; lane < 64; ++lane)
+          ASSERT_EQ(par.value(s, lane), par.value(s, 0))
+              << fix.netlist.name() << " signal " << s << " lane " << lane;
+      }
+      const std::uint64_t unknown = par.lanes_with_unknown();
+      EXPECT_TRUE(unknown == 0 || unknown == ~0ull);
+    }
+  }
 }
 
 TEST(ParallelSim, OutputStuckAtDetected) {
@@ -256,7 +279,7 @@ TEST(ParallelSim, InputPinStuckAt) {
 
 TEST(ParallelSim, RaceMarksLaneUnknown) {
   const Circuit fix = fixtures::fig1a();
-  ParallelTernarySim par(fix.netlist, {});
+  ParallelTernarySim par(fix.netlist);
   par.load_state(fix.reset);
   par.settle({true, false});  // the racing vector
   EXPECT_NE(par.lanes_with_unknown() & 1ull, 0ull);

@@ -161,13 +161,12 @@ TEST_F(SynthCelem, BoundedDelayImplementsNextStateAfterSettling) {
   options.style = SynthStyle::BoundedDelay;
   const SynthResult result = synthesize(sg, options);
   const Netlist& n = result.netlist;
-  TernarySim sim(n);
   // From reset, walk the SG behaviour: each SG input event, applied as a
   // synchronous vector, must settle the netlist to the SG's next stable
   // situation.  (Spot-check the first rising phase: r0+, then r1+.)
   std::vector<bool> state = result.reset_state;
   auto apply = [&](bool r0, bool r1) {
-    const auto settled = sim.settle(state, {r0, r1});
+    const auto settled = ternary_settle(n, state, {r0, r1});
     ASSERT_TRUE(settled.confluent);
     state = settled.final_state();
   };

@@ -1,13 +1,12 @@
-// Portable fallback implementation of the xatpg clang-tidy checks.
+// The xatpg linter: the one implementation of the project-specific
+// xatpg-* checks.
 //
-// The authoritative implementations live in this directory as a clang-tidy
-// plugin (XatpgTidyModule) and reason over the AST.  But the plugin can only
-// be built where clang-tidy development headers exist, and the project must
-// stay testable on a bare gcc toolchain — so this tool re-implements each
-// check as a conservative token-level scanner sharing the same check names,
-// the same fixture files, and the same NOLINT escape hatch.  `ctest -R lint`
-// drives it everywhere; CI additionally runs the real plugin where it can be
-// built.
+// Each check is a conservative token-level scanner.  It needs nothing
+// beyond a C++20 compiler, so the project stays lintable on a bare gcc
+// toolchain; `ctest -R lint` drives it everywhere, CI included.  The checks
+// are named like clang-tidy checks and honour the same NOLINT escape hatch,
+// but they do not run inside clang-tidy; .clang-tidy holds only the generic
+// baseline.
 //
 // The checks (see README "Static analysis" for the invariants they guard):
 //

@@ -1,68 +1,59 @@
 #include "synth/cover.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "util/check.hpp"
 
 namespace xatpg {
 
-std::vector<MinCube> prime_implicants(const std::vector<std::uint32_t>& on,
-                                      const std::vector<std::uint32_t>& dc,
+std::vector<MinCube> prime_implicants(const std::vector<std::uint32_t>& off,
                                       unsigned nvars) {
   XATPG_CHECK(nvars <= 32);
-  const std::uint32_t full_care =
-      nvars == 32 ? ~0u : ((1u << nvars) - 1);
+  const std::uint32_t all_vars = nvars == 32 ? ~0u : ((1u << nvars) - 1);
 
-  std::set<MinCube> current;
-  for (const std::uint32_t m : on) current.insert(MinCube{full_care, m});
-  for (const std::uint32_t m : dc) current.insert(MinCube{full_care, m});
-
-  std::vector<MinCube> primes;
-  while (!current.empty()) {
-    std::set<MinCube> combined;
-    std::set<MinCube> used;
-    // Two cubes combine when they have identical care sets and differ in
-    // exactly one cared bit.
-    std::vector<MinCube> cubes(current.begin(), current.end());
-    for (std::size_t i = 0; i < cubes.size(); ++i) {
-      for (std::size_t j = i + 1; j < cubes.size(); ++j) {
-        if (cubes[i].care != cubes[j].care) continue;
-        const std::uint32_t diff = cubes[i].value ^ cubes[j].value;
-        if (__builtin_popcount(diff) != 1) continue;
-        combined.insert(MinCube{cubes[i].care & ~diff,
-                                cubes[i].value & ~diff});
-        used.insert(cubes[i]);
-        used.insert(cubes[j]);
+  // Nelson: the primes of ¬off are the product of one clause per
+  // off-minterm, multiplied out and absorbed.  The cube set stays an
+  // antichain of implicants of ¬(off seen so far) throughout.
+  std::vector<MinCube> cubes{MinCube{}};
+  std::vector<MinCube> kept, grown;
+  for (const std::uint32_t m : off) {
+    kept.clear();
+    grown.clear();
+    for (const MinCube& c : cubes) {
+      if (!c.covers_minterm(m)) {
+        kept.push_back(c);
+        continue;
+      }
+      // c ∧ (x_i ≠ m_i) for each free variable i of c.
+      for (std::uint32_t free = all_vars & ~c.care; free != 0;
+           free &= free - 1) {
+        const std::uint32_t bit = free & -free;
+        grown.push_back(MinCube{c.care | bit, c.value | (~m & bit)});
       }
     }
-    for (const MinCube& c : cubes)
-      if (!used.count(c)) primes.push_back(c);
-    current = std::move(combined);
+    std::sort(grown.begin(), grown.end());
+    grown.erase(std::unique(grown.begin(), grown.end()), grown.end());
+    // A kept cube is never absorbed by a grown one: the grown cube lies
+    // inside its parent, which did not contain the kept cube.
+    cubes = kept;
+    for (const MinCube& c : grown) {
+      const auto absorbs = [&](const MinCube& d) {
+        return !(d == c) && d.contains(c);
+      };
+      if (std::none_of(kept.begin(), kept.end(), absorbs) &&
+          std::none_of(grown.begin(), grown.end(), absorbs))
+        cubes.push_back(c);
+    }
   }
-  // Deduplicate and drop primes contained in other primes (can appear when
-  // combining across different care patterns is impossible but containment
-  // still holds through don't-cares).
-  std::sort(primes.begin(), primes.end());
-  primes.erase(std::unique(primes.begin(), primes.end()), primes.end());
-  std::vector<MinCube> out;
-  for (const MinCube& c : primes) {
-    bool dominated = false;
-    for (const MinCube& d : primes)
-      if (!(d == c) && d.contains(c)) {
-        dominated = true;
-        break;
-      }
-    if (!dominated) out.push_back(c);
-  }
-  return out;
+  std::sort(cubes.begin(), cubes.end());
+  return cubes;
 }
 
 std::vector<MinCube> minimize_sop(const std::vector<std::uint32_t>& on,
-                                  const std::vector<std::uint32_t>& dc,
+                                  const std::vector<std::uint32_t>& off,
                                   unsigned nvars) {
   if (on.empty()) return {};
-  const auto primes = prime_implicants(on, dc, nvars);
+  const auto primes = prime_implicants(off, nvars);
 
   // Greedy set cover over the on-set.
   std::vector<std::uint32_t> uncovered = on;

@@ -1,8 +1,9 @@
 // Two-level cover algebra: cubes over up to 32 variables as (care, value)
-// bit masks, prime generation (Quine–McCluskey) with don't-cares, greedy
-// irredundant covering, and consensus-term generation (the hazard covers
-// SIS-style synthesis inserts — the source of the redundancy that drives the
-// paper's Table 2 result).
+// bit masks, prime generation from the off-set (every minterm outside it is
+// a don't-care unless the caller's on-set claims it), greedy irredundant
+// covering, and consensus-term generation (the hazard covers SIS-style
+// synthesis inserts — the source of the redundancy that drives the paper's
+// Table 2 result).
 #pragma once
 
 #include <cstdint>
@@ -29,15 +30,19 @@ struct MinCube {
   int num_literals() const { return __builtin_popcount(care); }
 };
 
-/// All prime implicants of on ∪ dc (classic QM combining pass).
-std::vector<MinCube> prime_implicants(const std::vector<std::uint32_t>& on,
-                                      const std::vector<std::uint32_t>& dc,
+/// All prime implicants of ¬off over `nvars` variables, sorted.  Built by
+/// Nelson's clause multiplication: start from the universal cube and, per
+/// off-minterm m, split each cube covering m into one cube per free
+/// variable that excludes m, absorbing contained cubes.  Cost grows with
+/// |off| x |primes|, not with 2^nvars.
+std::vector<MinCube> prime_implicants(const std::vector<std::uint32_t>& off,
                                       unsigned nvars);
 
-/// Greedy minimum cover of `on` by primes of on ∪ dc (essential primes
-/// first, then largest-gain / fewest-literal cubes).
+/// Greedy minimum cover of `on` by the primes of ¬off (essential primes
+/// first, then largest-gain / fewest-literal cubes).  `on` and `off` must
+/// be disjoint; everything else is a don't-care.
 std::vector<MinCube> minimize_sop(const std::vector<std::uint32_t>& on,
-                                  const std::vector<std::uint32_t>& dc,
+                                  const std::vector<std::uint32_t>& off,
                                   unsigned nvars);
 
 /// Consensus (resolvent) of two cubes if they clash in exactly one variable;

@@ -55,14 +55,18 @@ struct SynthResult {
   std::size_t num_consensus_cubes = 0;
 };
 
-/// Synthesize a netlist from an expanded state graph.  Requires CSC to hold
-/// (throws CheckError otherwise) and at least one quiescent SG state.
+/// Synthesize a netlist from an expanded state graph.  Requires CSC to hold,
+/// at most 20 STG signals (throws CheckError otherwise) and at least one
+/// quiescent SG state.
 SynthResult synthesize(const StateGraph& sg, const SynthOptions& options = {});
 
-/// Helper shared with tests: on/off/dc minterm sets of signal `sig`'s
+/// Helper shared with tests: on/off minterm sets of signal `sig`'s
 /// next-state function over the SG's signal variables (bit i = signal i).
+/// Every code in neither set (unreachable codes, and the codes the set and
+/// reset functions leave free) is a don't-care; minimize_sop takes the two
+/// sets as they are.
 struct NsFunction {
-  std::vector<std::uint32_t> on, off, dc;
+  std::vector<std::uint32_t> on, off;
   unsigned nvars = 0;
 };
 NsFunction next_state_function(const StateGraph& sg, std::uint32_t sig);

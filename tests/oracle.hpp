@@ -1,6 +1,7 @@
-// Brute-force CSSG oracle, shared by the randomized differential suite
-// (tests/test_differential.cpp) and the structural netlist fuzzer
-// (tests/fuzz/fuzz_structural.cpp).
+// Brute-force oracles.  The CSSG oracle is shared by the randomized
+// differential suite (tests/test_differential.cpp) and the structural
+// netlist fuzzer (tests/fuzz/fuzz_structural.cpp); the two-level
+// minimization oracle backs tests/test_synth.cpp.
 //
 // The oracle re-derives the complete-state-signal graph by explicit search:
 // BFS from reset over all input patterns, keeping only confluent settlings
@@ -9,8 +10,15 @@
 // state and edge sets must match it exactly; cssg_oracle_mismatch() reports
 // the first divergence as text so non-gtest consumers (the fuzzer harness)
 // can use the same check.
+//
+// The minimization oracle is pairwise Quine–McCluskey over on ∪ dc, the
+// prime generator synthesis used before primes were built from the
+// off-set, and the greedy cover that consumed its primes.  It enumerates every
+// implicant of on ∪ dc (about 3^n when dc is most of the space), so
+// callers keep nvars small.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <sstream>
@@ -21,6 +29,8 @@
 #include "netlist/netlist.hpp"
 #include "sgraph/cssg.hpp"
 #include "sim/explicit.hpp"
+#include "synth/cover.hpp"
+#include "util/check.hpp"
 
 namespace xatpg::testing {
 
@@ -143,6 +153,133 @@ inline std::string cssg_oracle_mismatch(const Netlist& netlist,
     return os.str();
   }
   return {};
+}
+
+// --- two-level minimization oracle ------------------------------------------
+
+/// All prime implicants of on ∪ dc, sorted (classic QM combining pass).
+inline std::vector<MinCube> oracle_prime_implicants(
+    const std::vector<std::uint32_t>& on, const std::vector<std::uint32_t>& dc,
+    unsigned nvars) {
+  XATPG_CHECK(nvars <= 32);
+  const std::uint32_t full_care =
+      nvars == 32 ? ~0u : ((1u << nvars) - 1);
+
+  std::set<MinCube> current;
+  for (const std::uint32_t m : on) current.insert(MinCube{full_care, m});
+  for (const std::uint32_t m : dc) current.insert(MinCube{full_care, m});
+
+  std::vector<MinCube> primes;
+  while (!current.empty()) {
+    std::set<MinCube> combined;
+    std::set<MinCube> used;
+    // Two cubes combine when they have identical care sets and differ in
+    // exactly one cared bit.
+    std::vector<MinCube> cubes(current.begin(), current.end());
+    for (std::size_t i = 0; i < cubes.size(); ++i) {
+      for (std::size_t j = i + 1; j < cubes.size(); ++j) {
+        if (cubes[i].care != cubes[j].care) continue;
+        const std::uint32_t diff = cubes[i].value ^ cubes[j].value;
+        if (__builtin_popcount(diff) != 1) continue;
+        combined.insert(MinCube{cubes[i].care & ~diff,
+                                cubes[i].value & ~diff});
+        used.insert(cubes[i]);
+        used.insert(cubes[j]);
+      }
+    }
+    for (const MinCube& c : cubes)
+      if (!used.count(c)) primes.push_back(c);
+    current = std::move(combined);
+  }
+  // Deduplicate and drop primes contained in other primes (can appear when
+  // combining across different care patterns is impossible but containment
+  // still holds through don't-cares).
+  std::sort(primes.begin(), primes.end());
+  primes.erase(std::unique(primes.begin(), primes.end()), primes.end());
+  std::vector<MinCube> out;
+  for (const MinCube& c : primes) {
+    bool dominated = false;
+    for (const MinCube& d : primes)
+      if (!(d == c) && d.contains(c)) {
+        dominated = true;
+        break;
+      }
+    if (!dominated) out.push_back(c);
+  }
+  return out;
+}
+
+/// The greedy cover minimize_sop builds on `primes` (the oracle's primes of
+/// on ∪ dc): essential primes, then largest gain, then an irredundancy pass.
+inline std::vector<MinCube> oracle_greedy_cover(
+    const std::vector<std::uint32_t>& on, const std::vector<MinCube>& primes) {
+  if (on.empty()) return {};
+
+  // Greedy set cover over the on-set.
+  std::vector<std::uint32_t> uncovered = on;
+  std::sort(uncovered.begin(), uncovered.end());
+  uncovered.erase(std::unique(uncovered.begin(), uncovered.end()),
+                  uncovered.end());
+  std::vector<MinCube> cover;
+  std::vector<bool> prime_used(primes.size(), false);
+
+  // Essential primes first: an on-minterm covered by exactly one prime.
+  for (const std::uint32_t m : uncovered) {
+    int only = -1, count = 0;
+    for (std::size_t p = 0; p < primes.size(); ++p)
+      if (primes[p].covers_minterm(m)) {
+        ++count;
+        only = static_cast<int>(p);
+      }
+    XATPG_CHECK_MSG(count > 0, "on-minterm not covered by any prime");
+    if (count == 1 && !prime_used[only]) {
+      prime_used[only] = true;
+      cover.push_back(primes[only]);
+    }
+  }
+  const auto strip_covered = [&] {
+    uncovered.erase(std::remove_if(uncovered.begin(), uncovered.end(),
+                                   [&](std::uint32_t m) {
+                                     return cover_eval(cover, m);
+                                   }),
+                    uncovered.end());
+  };
+  strip_covered();
+
+  while (!uncovered.empty()) {
+    std::size_t best = primes.size();
+    long best_gain = -1;
+    for (std::size_t p = 0; p < primes.size(); ++p) {
+      if (prime_used[p]) continue;
+      long gain = 0;
+      for (const std::uint32_t m : uncovered)
+        if (primes[p].covers_minterm(m)) ++gain;
+      // Prefer more coverage; tie-break on fewer literals (bigger cube).
+      gain = gain * 64 - primes[p].num_literals();
+      if (gain > best_gain) {
+        best_gain = gain;
+        best = p;
+      }
+    }
+    XATPG_CHECK(best < primes.size());
+    prime_used[best] = true;
+    cover.push_back(primes[best]);
+    strip_covered();
+  }
+
+  // Irredundancy pass: drop cubes whose on-minterms are covered elsewhere.
+  for (std::size_t i = cover.size(); i-- > 0;) {
+    std::vector<MinCube> without = cover;
+    without.erase(without.begin() + static_cast<long>(i));
+    bool redundant = true;
+    for (const std::uint32_t m : on)
+      if (!cover_eval(without, m)) {
+        redundant = false;
+        break;
+      }
+    if (redundant) cover = std::move(without);
+  }
+  return cover;
 }
 
 }  // namespace xatpg::testing

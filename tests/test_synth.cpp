@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "benchmarks/benchmarks.hpp"
+#include "oracle.hpp"
 #include "sim/ternary.hpp"
 #include "synth/cover.hpp"
 #include "util/check.hpp"
+#include "util/random.hpp"
 
 namespace xatpg {
 namespace {
@@ -29,20 +31,20 @@ TEST(MinCube, Containment) {
 }
 
 TEST(PrimeImplicants, XorHasNoMerging) {
-  // on = {01, 10}: two primes, nothing combines.
-  const auto primes = prime_implicants({0b01, 0b10}, {}, 2);
+  // on = {01, 10}, off = {00, 11}: two primes, nothing combines.
+  const auto primes = prime_implicants({0b00, 0b11}, 2);
   EXPECT_EQ(primes.size(), 2u);
 }
 
 TEST(PrimeImplicants, FullCubeCollapses) {
-  const auto primes = prime_implicants({0, 1, 2, 3}, {}, 2);
+  const auto primes = prime_implicants({}, 2);
   ASSERT_EQ(primes.size(), 1u);
   EXPECT_EQ(primes[0].care, 0u);  // tautology cube
 }
 
 TEST(PrimeImplicants, DontCaresEnlargePrimes) {
-  // f: on = {11}, dc = {10} over 2 vars -> prime x1 (bit1).
-  const auto primes = prime_implicants({0b11}, {0b10}, 2);
+  // f: on = {11}, dc = {10}, off = {00, 01} over 2 vars -> prime x1 (bit1).
+  const auto primes = prime_implicants({0b00, 0b01}, 2);
   bool found = false;
   for (const auto& p : primes)
     if (p.care == 0b10 && p.value == 0b10) found = true;
@@ -55,18 +57,21 @@ TEST(MinimizeSop, CoversExactlyOnSet) {
   std::vector<std::uint32_t> off;
   for (std::uint32_t m = 0; m < 16; ++m)
     if (std::find(on.begin(), on.end(), m) == on.end()) off.push_back(m);
-  const auto cover = minimize_sop(on, {}, 4);
+  const auto cover = minimize_sop(on, off, 4);
   EXPECT_TRUE(cover_is_correct(cover, on, off));
 }
 
 TEST(MinimizeSop, UsesDontCares) {
-  // on = {3}, dc = {1, 2, 0} -> single tautology-ish cube allowed.
-  const auto cover = minimize_sop({3}, {0, 1, 2}, 2);
+  // on = {3}, dc = {1, 2, 0}, off = {} -> single tautology-ish cube allowed.
+  const auto cover = minimize_sop({3}, {}, 2);
   ASSERT_EQ(cover.size(), 1u);
   EXPECT_EQ(cover[0].num_literals(), 0);
 }
 
-TEST(MinimizeSop, EmptyOnSet) { EXPECT_TRUE(minimize_sop({}, {0}, 2).empty()); }
+TEST(MinimizeSop, EmptyOnSet) {
+  // on = {}, dc = {0}, off = {1, 2, 3}.
+  EXPECT_TRUE(minimize_sop({}, {1, 2, 3}, 2).empty());
+}
 
 TEST(MinimizeSop, ParameterizedExhaustive3Var) {
   // Every 3-variable function: the minimized cover must match the truth
@@ -75,9 +80,51 @@ TEST(MinimizeSop, ParameterizedExhaustive3Var) {
     std::vector<std::uint32_t> on, off;
     for (std::uint32_t m = 0; m < 8; ++m)
       ((tt >> m) & 1 ? on : off).push_back(m);
-    const auto cover = minimize_sop(on, {}, 3);
+    const auto cover = minimize_sop(on, off, 3);
     EXPECT_TRUE(cover_is_correct(cover, on, off)) << "truth table " << tt;
   }
+}
+
+TEST(PrimeImplicants, MatchQuineMcCluskeyOracle) {
+  // Seeded random functions over 1-9 variables, each minterm dealt to on,
+  // off or dc with per-function weights.  Every eighth function has an
+  // empty off-set and every eighth (offset by four) a full one.  The primes
+  // from the off-set and the cover built on them must equal pairwise QM
+  // over on ∪ dc and its cover, element for element.
+  Rng rng(2024);
+  std::size_t empty_off = 0, full_off = 0, dc_only_primes = 0;
+  for (int f = 0; f < 2000; ++f) {
+    const unsigned nvars = 1 + static_cast<unsigned>(f) % 9;
+    std::uint64_t w_on = rng.below(4), w_off = rng.below(4),
+                  w_dc = 1 + rng.below(8);
+    if (f % 8 == 0) w_off = 0;
+    if (f % 8 == 4) {
+      w_on = w_dc = 0;
+      w_off = 1;
+    }
+    std::vector<std::uint32_t> on, off, dc;
+    for (std::uint32_t m = 0; m < (1u << nvars); ++m) {
+      const std::uint64_t pick = rng.below(w_on + w_off + w_dc);
+      (pick < w_on ? on : pick < w_on + w_off ? off : dc).push_back(m);
+    }
+    empty_off += off.empty();
+    full_off += off.size() == (1u << nvars);
+
+    const auto primes = prime_implicants(off, nvars);
+    const auto oracle = testing::oracle_prime_implicants(on, dc, nvars);
+    ASSERT_EQ(primes, oracle)
+        << "function " << f << " over " << nvars << " vars";
+    EXPECT_EQ(minimize_sop(on, off, nvars),
+              testing::oracle_greedy_cover(on, oracle))
+        << "function " << f << " over " << nvars << " vars";
+    for (const MinCube& p : primes)
+      dc_only_primes += std::none_of(on.begin(), on.end(), [&](auto m) {
+        return p.covers_minterm(m);
+      });
+  }
+  EXPECT_GE(empty_off, 250u);
+  EXPECT_GE(full_off, 250u);
+  EXPECT_GT(dc_only_primes, 0u);
 }
 
 TEST(Consensus, BasicResolvent) {
@@ -253,9 +300,57 @@ TEST(Synth, NsFunctionPartitionsCodes) {
   const Stg stg = make_celem("celem", 2);
   const StateGraph sg = expand_stg(stg);
   const NsFunction ns = next_state_function(sg, 2);
-  // on + off = reachable codes (8 of them), dc = 0 (all 2^3 reachable).
+  // on + off = reachable codes (8 of them) = all 2^3 codes: nothing is a
+  // don't-care.
   EXPECT_EQ(ns.on.size() + ns.off.size(), 8u);
-  EXPECT_TRUE(ns.dc.empty());
+  EXPECT_EQ(ns.on.size() + ns.off.size(), 1u << 3);
+}
+
+TEST(Synth, SixteenSignalSequencerScales) {
+  // 16 signals, 32 states: the don't-care space is all but 32 of 65536
+  // codes, so synthesis must not enumerate it.  Each set/reset cover is
+  // checked against the signal's own on/off codes, and the gC netlist
+  // against the SG's next-state function in every state.
+  const Stg stg = make_sequencer("seq", 8);
+  const StateGraph sg = expand_stg(stg);
+  ASSERT_EQ(stg.num_signals(), 16u);
+  ASSERT_EQ(sg.num_states(), 32u);
+  const SynthResult result = synthesize(sg);
+  const Netlist& n = result.netlist;
+  EXPECT_TRUE(n.is_stable_state(result.reset_state));
+  for (std::uint32_t sig = 0; sig < stg.num_signals(); ++sig) {
+    if (stg.signal(sig).kind == SignalKind::Input) continue;
+    const std::string& name = stg.signal(sig).name;
+    const NsFunction set = set_function(sg, sig);
+    const NsFunction reset = reset_function(sg, sig);
+    EXPECT_TRUE(cover_is_correct(minimize_sop(set.on, set.off, set.nvars),
+                                 set.on, set.off))
+        << name << " set";
+    EXPECT_TRUE(cover_is_correct(
+        minimize_sop(reset.on, reset.off, reset.nvars), reset.on, reset.off))
+        << name << " reset";
+    for (std::uint32_t st = 0; st < sg.num_states(); ++st) {
+      std::vector<bool> state(n.num_signals(), false);
+      for (std::uint32_t s = 0; s < stg.num_signals(); ++s)
+        state[n.signal(stg.signal(s).name)] = sg.codes[st][s];
+      EXPECT_EQ(n.eval_gate_bool(n.signal(name), state),
+                sg.next_value(st, sig))
+          << name << " in state " << st;
+    }
+  }
+}
+
+TEST(Synth, MoreThanTwentySignalsRejected) {
+  const StateGraph sg = expand_stg(make_sequencer("seq", 11));
+  ASSERT_EQ(sg.stg->num_signals(), 22u);
+  try {
+    synthesize(sg);
+    ADD_FAILURE() << "a 22-signal STG was synthesized";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("synthesis limit of 20"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Synth, SetResetFunctionsDisjoint) {

@@ -163,8 +163,8 @@ double BenchRecord::total_cpu_ms() const {
 }
 
 CircuitRecord run_entry(const CorpusEntry& entry, const AtpgOptions& options) {
-  // The timed window starts before Session construction: CSSG building is
-  // part of the paper's CPU column (same convention as bench_table1/2).
+  // The timed window starts before Session construction: synthesis and the
+  // CSSG build are part of the table's time column.
   Timer timer;
   Expected<Session> session = [&]() -> Expected<Session> {
     switch (entry.kind) {
@@ -216,6 +216,9 @@ CircuitRecord run_entry(const CorpusEntry& entry, const AtpgOptions& options) {
   record.gave_up = out_result->stats.gave_up + in_result->stats.gave_up;
   record.sequences = in_result->sequences.size();
   record.cpu_ms = timer.millis();
+  record.output_stuck = out_result->stats;
+  record.input_stuck = in_result->stats;
+  record.cssg = session->cssg_stats();
 
   const ShardBddStats bdd = session->bdd_stats();
   record.peak_nodes = bdd.peak_nodes;
@@ -345,6 +348,32 @@ std::string json_escape(const std::string& s) { return json::escape(s); }
 
 std::string json_double(double value) { return json::number(value); }
 
+void write_universe_json(std::ostream& out, const AtpgStats& stats) {
+  out << "{\"total\": " << stats.total_faults
+      << ", \"covered\": " << stats.covered << ", \"rnd\": " << stats.by_random
+      << ", \"three_phase\": " << stats.by_three_phase
+      << ", \"sim\": " << stats.by_fault_sim
+      << ", \"undetected\": " << stats.undetected
+      << ", \"proven_redundant\": " << stats.proven_redundant
+      << ", \"gave_up\": " << stats.gave_up
+      << ", \"coverage\": " << json_double(stats.coverage()) << "}";
+}
+
+void write_cssg_fields(std::ostream& out, const CssgStats& stats,
+                       const char* separator) {
+  out << "\"reachable_states\": " << json_double(stats.reachable_states)
+      << separator
+      << "\"stable_states\": " << json_double(stats.stable_states) << separator
+      << "\"tcr_pairs\": " << json_double(stats.tcr_pairs) << separator
+      << "\"nonconfluent_pairs\": " << json_double(stats.nonconfluent_pairs)
+      << separator
+      << "\"unstable_pairs\": " << json_double(stats.unstable_pairs)
+      << separator << "\"cssg_edges\": " << json_double(stats.cssg_edges)
+      << separator << "\"cssg_reachable_states\": "
+      << json_double(stats.cssg_reachable_states) << separator
+      << "\"peak_bdd_nodes\": " << stats.peak_bdd_nodes;
+}
+
 void write_json(const BenchRecord& record, std::ostream& out) {
   out << "{\n"
       << "  \"schema\": " << record.schema << ",\n"
@@ -373,8 +402,14 @@ void write_json(const BenchRecord& record, std::ostream& out) {
         << ", \"cache_lookups\": " << c.cache_lookups
         << ", \"cache_hits\": " << c.cache_hits
         << ", \"cache_hit_rate\": " << json_double(c.cache_hit_rate)
-        << ", \"unique_load\": " << json_double(c.unique_load) << "}"
-        << (i + 1 < record.circuits.size() ? "," : "") << "\n";
+        << ", \"unique_load\": " << json_double(c.unique_load)
+        << ", \"output_stuck\": ";
+    write_universe_json(out, c.output_stuck);
+    out << ", \"input_stuck\": ";
+    write_universe_json(out, c.input_stuck);
+    out << ", \"cssg\": {";
+    write_cssg_fields(out, c.cssg, ", ");
+    out << "}}" << (i + 1 < record.circuits.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
   if (!record.sweep.empty()) {
@@ -416,6 +451,121 @@ std::string to_json(const BenchRecord& record) {
 }
 
 // ---------------------------------------------------------------------------
+// Paper tables
+// ---------------------------------------------------------------------------
+
+namespace {
+
+template <typename... Args>
+void print(std::ostream& out, const char* format, Args... args) {
+  char line[256];
+  std::snprintf(line, sizeof line, format, args...);
+  out << line;
+}
+
+std::string family_title(const std::string& family) {
+  if (family == "si")
+    return "Table 1: speed-independent circuits (input/output stuck-at ATPG)";
+  if (family == "bd")
+    return "Table 2: hazard-free bounded-delay circuits (input/output "
+           "stuck-at ATPG)";
+  if (family == "rand")
+    return "Seeded random netlists (input/output stuck-at ATPG)";
+  if (family == "bench")
+    return "ISCAS-style .bench circuits (input/output stuck-at ATPG)";
+  return family + "/ circuits (input/output stuck-at ATPG)";
+}
+
+double percent(std::size_t part, std::size_t whole) {
+  return 100.0 * safe_ratio(static_cast<double>(part),
+                            static_cast<double>(whole));
+}
+
+const char* short_name(const CircuitRecord& row) {
+  return row.id.c_str() + row.id.find('/') + 1;
+}
+
+void write_table(const std::string& family,
+                 const std::vector<const CircuitRecord*>& rows,
+                 std::ostream& out) {
+  constexpr const char* kRule =
+      "-----------------+---------------+---------------+-------------------+-"
+      "-----------------------+----------\n";
+  out << family_title(family) << "\n";
+  print(out, "%-16s | %-13s | %-13s | %-17s | %-22s | %s\n", "", "output-s",
+        "input-s", "input-s by phase", "BDD nodes", "");
+  print(out, "%-16s | %5s %7s | %5s %7s | %5s %5s %5s | %8s %8s %4s | %9s\n",
+        "example", "tot", "cov", "tot", "cov", "rnd", "3-ph", "sim", "peak",
+        "live", "sift", "wall(ms)");
+  out << kRule;
+  AtpgStats o, i;  // family sums
+  std::size_t peak = 0, live = 0;
+  double wall_ms = 0;
+  for (const CircuitRecord* row : rows) {
+    const AtpgStats& ro = row->output_stuck;
+    const AtpgStats& ri = row->input_stuck;
+    print(out,
+          "%-16s | %5zu %7zu | %5zu %7zu | %5zu %5zu %5zu | %8zu %8zu %4zu | "
+          "%9.1f\n",
+          short_name(*row), ro.total_faults, ro.covered, ri.total_faults,
+          ri.covered, ri.by_random, ri.by_three_phase, ri.by_fault_sim,
+          row->peak_nodes, row->live_nodes, row->reorders, row->cpu_ms);
+    o.total_faults += ro.total_faults;
+    o.covered += ro.covered;
+    i.total_faults += ri.total_faults;
+    i.covered += ri.covered;
+    i.by_random += ri.by_random;
+    i.by_three_phase += ri.by_three_phase;
+    i.by_fault_sim += ri.by_fault_sim;
+    peak += row->peak_nodes;
+    live += row->live_nodes;
+    wall_ms += row->cpu_ms;
+  }
+  out << kRule;
+  print(out,
+        "%-16s | %5zu %6.2f%% | %5zu %6.2f%% | %5zu %5zu %5zu | %8zu %8zu %4s "
+        "| %9.1f\n\n",
+        "Total FC", o.total_faults, percent(o.covered, o.total_faults),
+        i.total_faults, percent(i.covered, i.total_faults), i.by_random,
+        i.by_three_phase, i.by_fault_sim, peak, live, "", wall_ms);
+}
+
+// Figure 2 as numbers: the sizes along the TCSG -> CSSG pipeline.
+void write_cssg_table(const std::string& family,
+                      const std::vector<const CircuitRecord*>& rows,
+                      std::ostream& out) {
+  out << "Figure 2: TCSG -> CSSG abstraction, " << family << "/ circuits\n";
+  print(out, "%-16s | %7s %7s | %7s %9s %7s | %7s %9s\n", "example", "reach",
+        "stable", "TCR_k", "non-conf", "osc", "edges", "CSSG-rch");
+  out << "-----------------+-----------------+---------------------------"
+         "+------------------\n";
+  for (const CircuitRecord* row : rows) {
+    const CssgStats& s = row->cssg;
+    print(out, "%-16s | %7.0f %7.0f | %7.0f %9.0f %7.0f | %7.0f %9.0f\n",
+          short_name(*row), s.reachable_states, s.stable_states, s.tcr_pairs,
+          s.nonconfluent_pairs, s.unstable_pairs, s.cssg_edges,
+          s.cssg_reachable_states);
+  }
+  out << "\n";
+}
+
+}  // namespace
+
+void write_tables(const BenchRecord& record, std::ostream& out) {
+  std::vector<std::string> families;
+  std::unordered_map<std::string, std::vector<const CircuitRecord*>> rows;
+  for (const CircuitRecord& c : record.circuits) {
+    const std::string family = c.id.substr(0, c.id.find('/'));
+    if (rows.find(family) == rows.end()) families.push_back(family);
+    rows[family].push_back(&c);
+  }
+  for (const std::string& family : families) {
+    write_table(family, rows[family], out);
+    write_cssg_table(family, rows[family], out);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // JSON parsing: the document model and the recursive-descent parser moved to
 // util/json.hpp (shared with the serve protocol); this file keeps only the
 // record-shaped reading on top of it.
@@ -425,6 +575,45 @@ using json::num_field;
 using json::size_field;
 using json::string_field;
 using JsonValue = json::Value;
+
+namespace {
+
+// A missing object (pre-schema-5 records) reads as all zeros.
+AtpgStats parse_universe(const JsonValue& circuit, const char* key) {
+  AtpgStats stats;
+  const JsonValue* universe = circuit.find(key);
+  if (universe == nullptr) return stats;
+  XATPG_CHECK_MSG(universe->type == JsonValue::Type::Object,
+                  "perf record: '" << key << "' is not an object");
+  stats.total_faults = size_field(*universe, "total");
+  stats.covered = size_field(*universe, "covered");
+  stats.by_random = size_field(*universe, "rnd");
+  stats.by_three_phase = size_field(*universe, "three_phase");
+  stats.by_fault_sim = size_field(*universe, "sim");
+  stats.undetected = size_field(*universe, "undetected");
+  stats.proven_redundant = size_field(*universe, "proven_redundant");
+  stats.gave_up = size_field(*universe, "gave_up");
+  return stats;
+}
+
+CssgStats parse_cssg(const JsonValue& circuit) {
+  CssgStats stats;
+  const JsonValue* cssg = circuit.find("cssg");
+  if (cssg == nullptr) return stats;
+  XATPG_CHECK_MSG(cssg->type == JsonValue::Type::Object,
+                  "perf record: 'cssg' is not an object");
+  stats.reachable_states = num_field(*cssg, "reachable_states", 0);
+  stats.stable_states = num_field(*cssg, "stable_states", 0);
+  stats.tcr_pairs = num_field(*cssg, "tcr_pairs", 0);
+  stats.nonconfluent_pairs = num_field(*cssg, "nonconfluent_pairs", 0);
+  stats.unstable_pairs = num_field(*cssg, "unstable_pairs", 0);
+  stats.cssg_edges = num_field(*cssg, "cssg_edges", 0);
+  stats.cssg_reachable_states = num_field(*cssg, "cssg_reachable_states", 0);
+  stats.peak_bdd_nodes = size_field(*cssg, "peak_bdd_nodes");
+  return stats;
+}
+
+}  // namespace
 
 BenchRecord parse_record(const std::string& json_text) {
   const JsonValue root = json::parse(json_text);
@@ -468,6 +657,9 @@ BenchRecord parse_record(const std::string& json_text) {
     c.cache_hits = size_field(entry, "cache_hits");
     c.cache_hit_rate = num_field(entry, "cache_hit_rate", 0);
     c.unique_load = num_field(entry, "unique_load", 0);
+    c.output_stuck = parse_universe(entry, "output_stuck");  // pre-schema-5: 0
+    c.input_stuck = parse_universe(entry, "input_stuck");
+    c.cssg = parse_cssg(entry);
     record.circuits.push_back(std::move(c));
   }
   if (const JsonValue* sweep = root.find("sweep")) {

@@ -1,7 +1,10 @@
 // Corpus performance harness + machine-readable perf records + regression
-// comparator.  `xatpg bench` (tools/xatpg_cli.cpp) is the front end; the CI
-// perf-smoke job runs it on every push and diffs the produced record against
-// the checked-in bench/baseline.json.
+// comparator.  `xatpg bench` (tools/xatpg_cli.cpp) is the front end and the
+// one driver of the paper's artifacts: its text output is Table 1 (si/),
+// Table 2 (bd/) and the same columns for the other families, and every
+// record carries the Figure 2 CSSG counts.  The CI perf-smoke job runs it on
+// every push and diffs the produced record against the checked-in
+// bench/baseline.json.
 //
 // The corpus covers three workload families, all driven through the public
 // Session facade:
@@ -26,6 +29,7 @@
 #include <vector>
 
 #include "xatpg/options.hpp"
+#include "xatpg/types.hpp"
 
 namespace xatpg::perf {
 
@@ -55,7 +59,13 @@ namespace xatpg::perf {
 //       and a cached pass (every request a result-cache hit).  Absent
 //       unless the serve benchmark ran; the parser defaults it when
 //       reading schema-1/2/3 records.
-inline constexpr int kSchemaVersion = 4;
+//   5 — the paper's columns per circuit: `output_stuck` / `input_stuck`
+//       objects (tot/cov and the rnd/3-ph/sim split, written by the same
+//       write_universe_json as `xatpg run --json`) and the `cssg` object
+//       (the Figure 2 counts, written by the same write_cssg_fields as
+//       `xatpg cssg --json`).  The parser zeroes them when reading
+//       schema-1..4 records.
+inline constexpr int kSchemaVersion = 5;
 /// Identifies the kernel generation a record was produced by (recorded in
 /// the JSON so a cross-kernel diff is visible in the comparator output).
 inline constexpr const char* kKernelName = "complement-edge";
@@ -114,6 +124,11 @@ struct CircuitRecord {
   std::size_t cache_lookups = 0, cache_hits = 0;
   double cache_hit_rate = 0;
   double unique_load = 0;
+  /// The two universes as run, in run order (schema 5; zero before).  Their
+  /// time fields are not recorded.
+  AtpgStats output_stuck, input_stuck;
+  /// The CSSG abstraction counts (schema 5; zero before).
+  CssgStats cssg;
 };
 
 /// One threads-sweep measurement point: the whole corpus re-run at a fixed
@@ -220,8 +235,25 @@ std::string json_escape(const std::string& s);
 /// writer and the CLI's run --json output.
 std::string json_double(double value);
 
+/// One ATPG universe as a JSON object — the writer behind both the
+/// record's `output_stuck`/`input_stuck` and `xatpg run --json`.
+void write_universe_json(std::ostream& out, const AtpgStats& stats);
+
+/// The CSSG counts as `"key": value` pairs joined by `separator` — the
+/// writer behind both the record's `cssg` object and `xatpg cssg --json`.
+void write_cssg_fields(std::ostream& out, const CssgStats& stats,
+                       const char* separator);
+
 void write_json(const BenchRecord& record, std::ostream& out);
 std::string to_json(const BenchRecord& record);
+
+/// The paper's tables, two blocks per corpus family in record order (si/
+/// is Table 1, bd/ is Table 2, then rand/ and bench/).  The first block
+/// has, per circuit, output- and input-stuck tot/cov, the input-stuck
+/// rnd/3-ph/sim split, BDD peak/live/sift and wall time, and a Total row
+/// that sums the family.  The second is Figure 2 as numbers: the TCSG ->
+/// CSSG sizes from the record's `cssg` counts.
+void write_tables(const BenchRecord& record, std::ostream& out);
 
 /// Parse a record produced by write_json (unknown keys are ignored, so newer
 /// records stay readable by older comparators).  Throws CheckError with a

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "serve/protocol.hpp"
 #include "util/json.hpp"
@@ -65,11 +66,34 @@ std::string error_code_of(const CliResult& result) {
   return string_field(*error, "code");
 }
 
+std::vector<std::string> keys_of(const Value& object) {
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : object.object) keys.push_back(key);
+  return keys;
+}
+
 TEST(CliContract, SuccessExitsZeroWithSilentStderr) {
   const CliResult result = run_cli("run --circuit fig1a --json");
   EXPECT_EQ(result.exit_code, 0);
   EXPECT_TRUE(result.err.empty()) << result.err;
-  EXPECT_NE(result.out.find("\"coverage\""), std::string::npos);
+  // The run --json object keeps its keys, in order, now that its universe
+  // objects come from the perf record's writer.
+  const Value root = parse(result.out);
+  EXPECT_EQ(keys_of(root),
+            (std::vector<std::string>{"circuit", "style", "signals", "inputs",
+                                      "outputs", "pins", "output_stuck",
+                                      "input_stuck", "sequences", "cancelled",
+                                      "bdd", "cpu_ms"}));
+  for (const char* universe : {"output_stuck", "input_stuck"}) {
+    const Value* stats = root.find(universe);
+    ASSERT_NE(stats, nullptr) << universe;
+    EXPECT_EQ(keys_of(*stats),
+              (std::vector<std::string>{"total", "covered", "rnd",
+                                        "three_phase", "sim", "undetected",
+                                        "proven_redundant", "gave_up",
+                                        "coverage"}))
+        << universe;
+  }
 }
 
 TEST(CliContract, UnknownBenchmarkIsOptionErrorJson) {
@@ -79,10 +103,13 @@ TEST(CliContract, UnknownBenchmarkIsOptionErrorJson) {
 }
 
 TEST(CliContract, DegenerateOptionsAreOptionErrorJson) {
-  // k = 0 makes every vector "oscillate"; AtpgOptions::validate rejects it.
-  const CliResult result = run_cli("run --circuit fig1a --k 0");
-  EXPECT_EQ(result.exit_code, 1);
-  EXPECT_EQ(error_code_of(result), "OptionError");
+  // k = 0 makes every vector "oscillate", and a random walk of length 0
+  // only ever applies reset pulses; AtpgOptions::validate rejects both.
+  for (const char* flag : {"--k 0", "--random-walk-len 0"}) {
+    const CliResult result = run_cli(std::string("run --circuit fig1a ") + flag);
+    EXPECT_EQ(result.exit_code, 1) << flag;
+    EXPECT_EQ(error_code_of(result), "OptionError") << flag;
+  }
 }
 
 TEST(CliContract, MalformedCircuitIsParseErrorJson) {

@@ -1,6 +1,7 @@
 // Golden-value regression tests: exact BDD-manager node counts and CSSG
-// state/edge counts for the fixture circuits, and a digest of every
-// synthesized benchmark netlist.
+// state/edge counts for the fixture circuits, a digest of every
+// synthesized benchmark netlist, and every row of the paper's Tables 1/2
+// with its Figure 2 sizes.
 //
 // These lock in the paper-table semantics: the CSSG statistics are what the
 // Figure 2 / Table 1 columns are computed from, and the BDD counts pin the
@@ -10,12 +11,14 @@
 // must be reviewed, not papered over.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <string_view>
 
 #include "bdd/bdd.hpp"
 #include "benchmarks/benchmarks.hpp"
 #include "fixtures.hpp"
+#include "perf/perf.hpp"
 #include "sgraph/cssg.hpp"
 #include "util/random.hpp"
 
@@ -295,6 +298,99 @@ TEST(SynthGolden, BoundedDelay) {
       {"trimos-send", 0xd8b5297834e18cc3ull},
       {"vbe10b", 0x3d02399191fa02c9ull},
       {"vbe6a", 0xe6d580b4d4853cb7ull},
+  });
+}
+
+// --- the paper's tables -----------------------------------------------------
+
+// Every row of Table 1 (si/) and Table 2 (bd/) as `xatpg bench --filter si/
+// --random-budget 12 --random-walk-len 6` prints it, with the Figure 2 sizes
+// of the same circuit.  The options are the paper-table settings; the
+// values were produced by the standalone table and figure programs this
+// driver replaced, so a changed row is a changed paper result.
+struct TableRow {
+  const char* name;
+  /// Output-stuck tot/cov, input-stuck tot/cov, input-stuck rnd/3-ph/sim.
+  std::array<std::size_t, 7> atpg;
+  /// Reachable, stable, TCR_k, non-confluent, oscillating, CSSG edges,
+  /// CSSG-reachable.
+  std::array<double, 7> cssg;
+};
+
+void check_table(const char* table, perf::CorpusEntry::Kind kind,
+                 const std::vector<TableRow>& golden) {
+  AtpgOptions options;
+  options.k = 24;
+  options.random_budget = 12;
+  options.random_walk_len = 6;
+  options.seed = 1;
+  std::size_t next = 0;
+  for (const perf::CorpusEntry& entry : perf::default_corpus()) {
+    if (entry.kind != kind) continue;
+    ASSERT_LT(next, golden.size()) << table << ": more circuits than rows";
+    const TableRow& row = golden[next++];
+    ASSERT_EQ(entry.name, row.name) << table << " rows out of corpus order";
+    const perf::CircuitRecord record = perf::run_entry(entry, options);
+    const AtpgStats& o = record.output_stuck;
+    const AtpgStats& i = record.input_stuck;
+    EXPECT_EQ((std::array<std::size_t, 7>{o.total_faults, o.covered,
+                                          i.total_faults, i.covered,
+                                          i.by_random, i.by_three_phase,
+                                          i.by_fault_sim}),
+              row.atpg)
+        << table << "/" << row.name
+        << ": out tot/cov, in tot/cov, rnd/3-ph/sim changed";
+    const CssgStats& s = record.cssg;
+    EXPECT_EQ((std::array<double, 7>{s.reachable_states, s.stable_states,
+                                     s.tcr_pairs, s.nonconfluent_pairs,
+                                     s.unstable_pairs, s.cssg_edges,
+                                     s.cssg_reachable_states}),
+              row.cssg)
+        << "Figure 2/" << table << "/" << row.name << ": CSSG sizes changed";
+  }
+  EXPECT_EQ(next, golden.size()) << table << ": fewer circuits than rows";
+}
+
+TEST(PaperTableGolden, Table1SpeedIndependent) {
+  check_table("Table 1", perf::CorpusEntry::Kind::SiBenchmark, {
+      {"alloc-outbound", {12, 12, 8, 8, 7, 1, 0}, {64, 12, 84, 0, 0, 84, 12}},
+      {"atod", {12, 12, 6, 6, 6, 0, 0}, {64, 8, 56, 0, 0, 56, 8}},
+      {"chu150", {8, 8, 6, 6, 6, 0, 0}, {10, 6, 18, 0, 0, 18, 6}},
+      {"converta", {10, 10, 6, 6, 6, 0, 0}, {24, 4, 12, 0, 0, 12, 4}},
+      {"dff", {6, 6, 4, 4, 4, 0, 0}, {8, 5, 15, 0, 0, 15, 5}},
+      {"ebergen", {12, 12, 8, 8, 8, 0, 0}, {36, 4, 12, 0, 0, 12, 4}},
+      {"hazard", {14, 14, 10, 10, 9, 1, 0}, {80, 12, 84, 0, 0, 84, 12}},
+      {"master-read", {18, 18, 14, 14, 13, 1, 0}, {288, 28, 420, 0, 0, 420, 28}},
+      {"mmu", {16, 16, 12, 12, 11, 1, 0}, {256, 28, 420, 0, 0, 420, 28}},
+      {"mp-forward-pkt", {14, 14, 8, 8, 8, 0, 0}, {96, 8, 56, 0, 0, 56, 8}},
+      {"mr1", {20, 20, 10, 10, 10, 0, 0}, {1024, 32, 992, 0, 0, 992, 32}},
+      {"nak-pa", {12, 12, 18, 16, 16, 0, 0}, {33, 8, 24, 0, 0, 24, 8}},
+      {"nowick", {10, 10, 6, 6, 6, 0, 0}, {24, 4, 12, 0, 0, 12, 4}},
+      {"ram-read-sbuf", {18, 18, 10, 10, 10, 0, 0}, {384, 16, 240, 0, 0, 240, 16}},
+      {"rcv-setup", {8, 8, 4, 4, 4, 0, 0}, {16, 4, 12, 0, 0, 12, 4}},
+      {"rpdft", {6, 6, 4, 4, 4, 0, 0}, {8, 6, 18, 0, 0, 18, 6}},
+      {"sbuf-ram-write", {14, 14, 14, 12, 12, 0, 0}, {104, 12, 88, 8, 0, 80, 12}},
+      {"sbuf-send-ctl", {20, 20, 12, 12, 12, 0, 0}, {576, 16, 240, 0, 0, 240, 16}},
+      {"sbuf-send-pkt2", {16, 16, 10, 10, 10, 0, 0}, {144, 8, 56, 0, 0, 56, 8}},
+      {"seq4", {16, 16, 8, 8, 8, 0, 0}, {256, 16, 240, 0, 0, 240, 16}},
+      {"trimos-send", {12, 12, 30, 27, 24, 3, 0}, {16, 6, 6, 0, 0, 6, 6}},
+      {"vbe10b", {12, 12, 16, 16, 15, 1, 0}, {46, 8, 26, 4, 0, 22, 8}},
+      {"vbe5b", {8, 8, 16, 14, 14, 0, 0}, {10, 4, 4, 0, 0, 4, 4}},
+      {"vbe6a", {10, 10, 18, 16, 16, 0, 0}, {14, 4, 4, 0, 0, 4, 4}},
+  });
+}
+
+TEST(PaperTableGolden, Table2BoundedDelay) {
+  check_table("Table 2", perf::CorpusEntry::Kind::BdBenchmark, {
+      {"chu150", {14, 14, 20, 20, 20, 0, 0}, {44, 6, 22, 6, 0, 16, 6}},
+      {"converta", {10, 10, 6, 6, 6, 0, 0}, {24, 4, 12, 0, 0, 12, 4}},
+      {"ebergen", {12, 12, 8, 8, 8, 0, 0}, {36, 4, 12, 0, 0, 12, 4}},
+      {"hazard", {22, 22, 26, 26, 24, 1, 1}, {724, 8, 56, 0, 0, 56, 8}},
+      {"nowick", {10, 10, 6, 6, 6, 0, 0}, {24, 4, 12, 0, 0, 12, 4}},
+      {"rpdft", {12, 12, 18, 18, 18, 0, 0}, {32, 6, 20, 4, 0, 16, 6}},
+      {"trimos-send", {34, 0, 64, 0, 0, 0, 0}, {17352, 8, 7098, 7093, 0, 5, 1}},
+      {"vbe10b", {32, 7, 54, 9, 9, 0, 0}, {6240, 8, 2373, 2354, 0, 19, 3}},
+      {"vbe6a", {26, 0, 44, 0, 0, 0, 0}, {899, 5, 474, 472, 0, 2, 1}},
   });
 }
 

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <utility>
 
 #include "util/check.hpp"
 #include "xatpg/progress.hpp"
@@ -112,6 +113,29 @@ TEST(PerfJson, RoundTripPreservesEveryGatedField) {
     EXPECT_EQ(a.cache_hits, b.cache_hits);
     EXPECT_NEAR(a.cpu_ms, b.cpu_ms, 1e-3);
     EXPECT_NEAR(a.coverage, b.coverage, 1e-9);
+    // Schema 5: the paper's per-universe columns and the Figure 2 counts.
+    EXPECT_EQ(a.output_stuck.total_faults + a.input_stuck.total_faults,
+              a.faults_total);
+    for (const auto& [x, y] : {std::pair{&a.output_stuck, &b.output_stuck},
+                               std::pair{&a.input_stuck, &b.input_stuck}}) {
+      EXPECT_EQ(x->total_faults, y->total_faults);
+      EXPECT_EQ(x->covered, y->covered);
+      EXPECT_EQ(x->by_random, y->by_random);
+      EXPECT_EQ(x->by_three_phase, y->by_three_phase);
+      EXPECT_EQ(x->by_fault_sim, y->by_fault_sim);
+      EXPECT_EQ(x->undetected, y->undetected);
+      EXPECT_EQ(x->proven_redundant, y->proven_redundant);
+      EXPECT_EQ(x->gave_up, y->gave_up);
+    }
+    EXPECT_GT(a.cssg.cssg_edges, 0.0);
+    EXPECT_EQ(a.cssg.reachable_states, b.cssg.reachable_states);
+    EXPECT_EQ(a.cssg.stable_states, b.cssg.stable_states);
+    EXPECT_EQ(a.cssg.tcr_pairs, b.cssg.tcr_pairs);
+    EXPECT_EQ(a.cssg.nonconfluent_pairs, b.cssg.nonconfluent_pairs);
+    EXPECT_EQ(a.cssg.unstable_pairs, b.cssg.unstable_pairs);
+    EXPECT_EQ(a.cssg.cssg_edges, b.cssg.cssg_edges);
+    EXPECT_EQ(a.cssg.cssg_reachable_states, b.cssg.cssg_reachable_states);
+    EXPECT_EQ(a.cssg.peak_bdd_nodes, b.cssg.peak_bdd_nodes);
   }
 }
 
@@ -174,6 +198,12 @@ TEST(PerfJson, MalformedRecordsThrowLoudly) {
   EXPECT_THROW(parse_record("{\"schema\": 1, \"circuits\": [1]}"), CheckError);
   EXPECT_THROW(parse_record("{bad json"), CheckError);
   EXPECT_THROW(parse_record("{\"schema\": 1, \"circuits\": []} trailing"),
+               CheckError);
+  EXPECT_THROW(parse_record("{\"schema\": 5, \"circuits\": [{\"id\": \"x\","
+                            " \"input_stuck\": 3}]}"),
+               CheckError);  // a universe that is not an object
+  EXPECT_THROW(parse_record("{\"schema\": 5, \"circuits\": [{\"id\": \"x\","
+                            " \"cssg\": []}]}"),
                CheckError);
 }
 
@@ -468,6 +498,18 @@ TEST(PerfJson, Schema3FieldsRoundTrip) {
       " \"sweep\": [{\"threads\": 4, \"cpu_ms\": 10}]}");
   EXPECT_EQ(old.circuits[0].peak_resident_nodes, 0u);
   EXPECT_EQ(old.sweep[0].peak_resident_nodes, 0u);
+  // bench/baseline.json is a schema-3 record (a schema-4 one differs only
+  // by the optional serve object): it parses with the schema-5 universe
+  // and cssg objects zeroed.
+  const BenchRecord baseline = parse_record(
+      "{\"schema\": 3, \"circuits\": [{\"id\": \"si/dff\", \"faults_total\":"
+      " 10, \"faults_covered\": 10, \"peak_nodes\": 55,"
+      " \"base_nodes\": 55}]}");
+  EXPECT_EQ(baseline.circuits[0].base_nodes, 55u);
+  EXPECT_EQ(baseline.circuits[0].output_stuck.total_faults, 0u);
+  EXPECT_EQ(baseline.circuits[0].input_stuck.covered, 0u);
+  EXPECT_EQ(baseline.circuits[0].cssg.stable_states, 0.0);
+  EXPECT_EQ(baseline.circuits[0].cssg.cssg_edges, 0.0);
 }
 
 TEST(PerfJson, DoublesRoundTripBitExactly) {

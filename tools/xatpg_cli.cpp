@@ -7,11 +7,12 @@
 //
 //   xatpg run    --circuit <name|file.xnl|file.bench> [--style si|bd]
 //                [--faults input|output|both] [--threads N] [--seed N]
-//                [--k N] [--random-budget N] [--reorder] [--classify]
-//                [--progress] [--json]
+//                [--k N] [--random-budget N] [--random-walk-len N]
+//                [--reorder] [--classify] [--progress] [--json]
 //   xatpg cssg   --circuit ... [--json | --dot] [--out FILE]
 //   xatpg export --circuit ... [--out FILE] [run flags]
-//   xatpg bench  [--threads N | --threads-sweep] [--seed N] [--reorder]
+//   xatpg bench  [--threads N | --threads-sweep] [--seed N] [--k N]
+//                [--random-budget N] [--random-walk-len N] [--reorder]
 //                [--filter SUBSTR] [--host TAG] [--json] [--out FILE]
 //   xatpg bench-compare BASELINE.json CURRENT.json
 //                [--max-regress PCT] [--min-cpu-ms MS]
@@ -23,6 +24,7 @@
 //
 // `run --json` emits the paper's table columns (tot/cov per universe,
 // rnd/3-ph/sim, BDD node accounting, CPU time) as a single JSON object.
+// `bench` prints the paper's tables (si/ is Table 1, bd/ is Table 2) and
 // `bench --json` emits the versioned perf record (see src/perf/perf.hpp);
 // `bench-compare` diffs two records and exits 1 on any regression — the CI
 // perf gate is exactly this command against bench/baseline.json.
@@ -72,7 +74,8 @@ int usage(const char* argv0) {
       << "  run     full ATPG flow (random TPG -> 3-phase -> fault sim)\n"
       << "  cssg    CSSG abstraction statistics (--dot for graphviz)\n"
       << "  export  generate and print the synchronous test program\n"
-      << "  bench   run the perf corpus; --json emits the versioned record\n"
+      << "  bench   run the perf corpus and print the paper's tables;\n"
+      << "          --json emits the versioned record\n"
       << "  bench-compare BASELINE CURRENT   diff two records; exit 1 on\n"
       << "          coverage drop or node/CPU regression (the CI perf gate)\n"
       << "  serve   long-lived ATPG daemon (NDJSON protocol, see\n"
@@ -94,6 +97,7 @@ int usage(const char* argv0) {
       << "  --seed N           random TPG seed\n"
       << "  --k N              settle bound per test cycle\n"
       << "  --random-budget N  vectors spent in random TPG\n"
+      << "  --random-walk-len N  random TPG restart interval (reset pulses)\n"
       << "  --reorder          dynamic BDD variable reordering (sifting)\n"
       << "  --classify         a-priori undetectable-fault classification\n"
       << "  --progress         stream phase/progress events to stderr\n"
@@ -234,6 +238,10 @@ bool parse_args(int argc, char** argv, CliArgs& args) {
       const auto v = count(1u << 30);
       if (!v) return false;
       args.options.random_budget = static_cast<std::size_t>(*v);
+    } else if (flag == "--random-walk-len") {
+      const auto v = count(1u << 30);
+      if (!v) return false;
+      args.options.random_walk_len = static_cast<std::size_t>(*v);
     } else if (flag == "--threads-sweep") {
       args.threads_sweep = true;
     } else if (flag == "--serve") {
@@ -386,18 +394,6 @@ class StderrObserver : public RunObserver {
   }
 };
 
-void print_universe_json(std::ostream& out, const char* key,
-                         const AtpgStats& stats) {
-  out << "  \"" << key << "\": {\"total\": " << stats.total_faults
-      << ", \"covered\": " << stats.covered << ", \"rnd\": " << stats.by_random
-      << ", \"three_phase\": " << stats.by_three_phase
-      << ", \"sim\": " << stats.by_fault_sim
-      << ", \"undetected\": " << stats.undetected
-      << ", \"proven_redundant\": " << stats.proven_redundant
-      << ", \"gave_up\": " << stats.gave_up
-      << ", \"coverage\": " << perf::json_double(stats.coverage()) << "}";
-}
-
 void print_universe_text(std::ostream& out, const char* title,
                          const AtpgStats& stats) {
   out << title << ": " << stats.covered << "/" << stats.total_faults
@@ -449,11 +445,13 @@ int cmd_run(Session& session, const CliArgs& args, std::ostream& out,
         << ",\n  \"outputs\": " << session.num_outputs()
         << ",\n  \"pins\": " << session.num_pins() << ",\n";
     if (out_result) {
-      print_universe_json(out, "output_stuck", out_result->stats);
+      out << "  \"output_stuck\": ";
+      perf::write_universe_json(out, out_result->stats);
       out << ",\n";
     }
     if (in_result) {
-      print_universe_json(out, "input_stuck", in_result->stats);
+      out << "  \"input_stuck\": ";
+      perf::write_universe_json(out, in_result->stats);
       out << ",\n";
     }
     out << "  \"sequences\": "
@@ -499,14 +497,9 @@ int cmd_cssg(Session& session, const CliArgs& args, std::ostream& out) {
   const CssgStats& stats = session.cssg_stats();
   if (args.json) {
     out << "{\n  \"circuit\": \"" << json_escape(session.circuit_name())
-        << "\",\n  \"reachable_states\": " << stats.reachable_states
-        << ",\n  \"stable_states\": " << stats.stable_states
-        << ",\n  \"tcr_pairs\": " << stats.tcr_pairs
-        << ",\n  \"nonconfluent_pairs\": " << stats.nonconfluent_pairs
-        << ",\n  \"unstable_pairs\": " << stats.unstable_pairs
-        << ",\n  \"cssg_edges\": " << stats.cssg_edges
-        << ",\n  \"cssg_reachable_states\": " << stats.cssg_reachable_states
-        << ",\n  \"peak_bdd_nodes\": " << stats.peak_bdd_nodes << "\n}\n";
+        << "\",\n  ";
+    perf::write_cssg_fields(out, stats, ",\n  ");
+    out << "\n}\n";
   } else {
     out << "circuit '" << session.circuit_name() << "'\n"
         << "TCSG reachable states: " << stats.reachable_states << " ("
@@ -562,6 +555,7 @@ int cmd_bench(const CliArgs& args, std::ostream& out) {
           << "  cached: " << s.cached_rps << " req/s, p50 " << s.cached_p50_ms
           << " ms, p99 " << s.cached_p99_ms << " ms\n";
     } else {
+      perf::write_tables(record, out);
       out << "corpus: " << record.circuits.size() << " circuits, "
           << record.total_covered() << "/" << record.total_faults()
           << " faults covered";
@@ -733,7 +727,8 @@ Expected<std::string> make_submit(const CliArgs& args, const std::string& id) {
      << (args.progress ? "true" : "false")
      << ",\"options\":{\"threads\":" << args.options.threads
      << ",\"seed\":" << args.options.seed << ",\"k\":" << args.options.k
-     << ",\"random_budget\":" << args.options.random_budget;
+     << ",\"random_budget\":" << args.options.random_budget
+     << ",\"random_walk_len\":" << args.options.random_walk_len;
   if (args.options.reorder.enabled) os << ",\"reorder\":true";
   if (args.options.classify_undetectable) os << ",\"classify\":true";
   os << "}}\n";

@@ -5,6 +5,12 @@
 // A=0,B=1 races a rising `a` against a falling `b`; depending on gate
 // delays the pulse on c may or may not latch y.  Circuit (b) shows
 // oscillation: raising A with B=0 makes the NAND/OR ring unstable forever.
+//
+// After the walkthrough it prints the data behind the figure: for every
+// (reachable stable state, input pattern) pair of both circuits, the
+// verdict of exhaustive race analysis and of conservative ternary
+// simulation.
+#include <iomanip>
 #include <iostream>
 
 #include "benchmarks/benchmarks.hpp"
@@ -16,6 +22,49 @@ namespace {
 void show(const xatpg::Netlist& n, const std::vector<bool>& state) {
   for (xatpg::SignalId s = 0; s < n.num_signals(); ++s)
     std::cout << n.signal_name(s) << "=" << state[s] << " ";
+  std::cout << "\n";
+}
+
+std::string bits(const std::vector<bool>& values) {
+  std::string text;
+  for (const bool b : values) text += b ? '1' : '0';
+  return text;
+}
+
+/// One verdict row per (reachable stable state, changed input pattern).
+void verdict_table(const xatpg::Netlist& netlist,
+                   const std::vector<bool>& reset) {
+  using namespace xatpg;
+  const auto row = [](const std::string& state, const std::string& pattern,
+                      const std::string& exact, const std::string& ternary) {
+    std::cout << std::left << std::setw(14) << state << " | " << std::setw(8)
+              << pattern << " | " << std::setw(20) << exact << " | "
+              << ternary << "\n";
+  };
+  std::cout << "circuit '" << netlist.name() << "'\n";
+  row("stable state", "pattern", "exact analysis", "ternary");
+  const std::size_t m = netlist.inputs().size();
+  for (const auto& state : explicit_stable_reachable(netlist, reset, 32)) {
+    for (std::uint64_t pattern = 0; pattern < (1ull << m); ++pattern) {
+      std::vector<bool> vec(m);
+      bool same = true;
+      for (std::size_t i = 0; i < m; ++i) {
+        vec[i] = (pattern >> i) & 1;
+        same = same && (vec[i] == state[netlist.inputs()[i]]);
+      }
+      if (same) continue;
+      const auto exact = explore_settling(netlist, state, vec, 32);
+      std::string verdict = "valid vector";
+      if (exact.stable_states.size() > 1) {
+        verdict = "NON-CONFLUENT (" +
+                  std::to_string(exact.stable_states.size()) + " outcomes)";
+      } else if (!exact.confluent()) {
+        verdict = "OSCILLATES/UNSETTLED";
+      }
+      row(bits(state), bits(vec), verdict,
+          ternary_settle(netlist, state, vec).confluent ? "definite" : "has-X");
+    }
+  }
   std::cout << "\n";
 }
 
@@ -63,5 +112,10 @@ int main() {
   const auto ok = explore_settling(fig1b, reset_b, {false, true}, 32);
   std::cout << "  unique settling state:\n    ";
   show(fig1b, *ok.stable_states.begin());
+
+  std::cout << "\nFigure 1: circuits showing (a) non-confluence and (b) "
+               "oscillation\n\n";
+  verdict_table(fig1a, reset_a);
+  verdict_table(fig1b, reset_b);
   return 0;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/check.hpp"
+#include "util/strings.hpp"
 
 namespace xatpg {
 
@@ -21,15 +22,15 @@ Stg make_sequencer(const std::string& name, unsigned pairs,
   };
   std::vector<std::uint32_t> req(pairs), ack(pairs);
   for (unsigned i = 0; i < pairs; ++i) {
-    req[i] = stg.add_signal("r" + std::to_string(i), SignalKind::Input,
+    req[i] = stg.add_signal(indexed_name("r", i), SignalKind::Input,
                             is_inverted(i));
-    ack[i] = stg.add_signal("a" + std::to_string(i), SignalKind::Output,
+    ack[i] = stg.add_signal(indexed_name("a", i), SignalKind::Output,
                             is_inverted(i));
   }
   std::vector<std::uint32_t> internals;
   for (std::size_t j = 0; j < internal_after.size(); ++j)
     internals.push_back(
-        stg.add_signal("x" + std::to_string(j), SignalKind::Internal, false));
+        stg.add_signal(indexed_name("x", j), SignalKind::Internal, false));
 
   // Build the event ring: rising phase r0+ a0+ r1+ a1+ ..., falling phase
   // r0- a0- r1- a1- ...; internal signals x_j+ are spliced after the
@@ -70,8 +71,8 @@ Stg make_forkjoin(const std::string& name, unsigned branches,
   const auto ain = stg.add_signal("ain", SignalKind::Output, false);
   std::vector<std::uint32_t> r(branches), a(branches);
   for (unsigned b = 0; b < branches; ++b) {
-    r[b] = stg.add_signal("r" + std::to_string(b), SignalKind::Output, false);
-    a[b] = stg.add_signal("a" + std::to_string(b), SignalKind::Input, false);
+    r[b] = stg.add_signal(indexed_name("r", b), SignalKind::Output, false);
+    a[b] = stg.add_signal(indexed_name("a", b), SignalKind::Input, false);
   }
   const auto rin_p = stg.add_transition(rin, true);
   const auto rin_m = stg.add_transition(rin, false);
@@ -173,7 +174,7 @@ Stg make_celem(const std::string& name, unsigned inputs, bool tail) {
   Stg stg(name);
   std::vector<std::uint32_t> r(inputs);
   for (unsigned i = 0; i < inputs; ++i)
-    r[i] = stg.add_signal("r" + std::to_string(i), SignalKind::Input, false);
+    r[i] = stg.add_signal(indexed_name("r", i), SignalKind::Input, false);
   const auto ack = stg.add_signal("ack", SignalKind::Output, false);
   std::uint32_t z = 0;
   if (tail) z = stg.add_signal("z", SignalKind::Internal, false);
@@ -250,10 +251,10 @@ Stg make_toggle(const std::string& name, unsigned ways, bool pre_detector) {
   const auto r = stg.add_signal("r", SignalKind::Input, false);
   std::vector<std::uint32_t> ack(ways);
   for (unsigned w = 0; w < ways; ++w)
-    ack[w] = stg.add_signal("a" + std::to_string(w), SignalKind::Output, false);
+    ack[w] = stg.add_signal(indexed_name("a", w), SignalKind::Output, false);
   std::vector<std::uint32_t> phase(ways - 1);
   for (unsigned j = 0; j + 1 < ways; ++j)
-    phase[j] = stg.add_signal("x" + std::to_string(j), SignalKind::Internal,
+    phase[j] = stg.add_signal(indexed_name("x", j), SignalKind::Internal,
                               false);
   std::uint32_t z = 0;
   if (pre_detector) z = stg.add_signal("z", SignalKind::Internal, false);

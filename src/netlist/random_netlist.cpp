@@ -8,6 +8,7 @@
 #include "sim/ternary.hpp"
 #include "util/check.hpp"
 #include "util/random.hpp"
+#include "util/strings.hpp"
 
 namespace xatpg {
 
@@ -23,7 +24,7 @@ Netlist random_netlist(std::uint64_t seed, const RandomNetlistOptions& options,
       GateType::And, GateType::Or,  GateType::Nand,
       GateType::Nor, GateType::Xor, GateType::Not};
   for (std::size_t g = 0; g < options.num_gates; ++g) {
-    const std::string name = "g" + std::to_string(g);
+    const std::string name = indexed_name("g", g);
     const bool state_holding = options.allow_state_holding && rng.below(4) == 0;
     const GateType type = state_holding
                               ? GateType::Celem
@@ -95,7 +96,7 @@ struct EditableCircuit {
   /// A gate name not used by any existing signal ("m0", "m1", ...).
   std::string fresh_name() const {
     for (std::size_t i = 0;; ++i) {
-      std::string candidate = "m" + std::to_string(i);
+      std::string candidate = indexed_name("m", i);
       const bool taken =
           std::any_of(gates.begin(), gates.end(),
                       [&](const Gate& g) { return g.name == candidate; });

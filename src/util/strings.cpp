@@ -51,4 +51,10 @@ std::string pad_right(const std::string& s, std::size_t width) {
   return s + std::string(width - s.size(), ' ');
 }
 
+std::string indexed_name(std::string_view prefix, std::size_t index) {
+  std::string name(prefix);
+  name += std::to_string(index);
+  return name;
+}
+
 }  // namespace xatpg

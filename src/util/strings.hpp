@@ -23,4 +23,9 @@ bool starts_with(std::string_view text, std::string_view prefix);
 std::string pad_left(const std::string& s, std::size_t width);
 std::string pad_right(const std::string& s, std::size_t width);
 
+/// `prefix` followed by the decimal `index` ("r" and 3 give "r3").  Built by
+/// appending: the prepend in `"r" + std::to_string(i)` trips a false gcc 12
+/// -Wrestrict warning at -O3.
+std::string indexed_name(std::string_view prefix, std::size_t index);
+
 }  // namespace xatpg

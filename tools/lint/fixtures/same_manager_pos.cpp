@@ -1,6 +1,6 @@
 // Positive fixtures for xatpg-same-manager: every line below that mixes
 // operands from two BddManagers must be flagged.  Run via
-// `ctest -R lint_same_manager` (the xatpg_fallback_lint checker).
+// `ctest -R lint_same_manager` (the xatpg_lint checker).
 #include "xatpg_stub.hpp"
 
 using xatpg::Bdd;

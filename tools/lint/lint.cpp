@@ -36,11 +36,11 @@
 //                           through it.
 //
 // Modes:
-//   fallback_lint --verify file...   lit-style fixture verification: every
+//   xatpg_lint --verify file...      lit-style fixture verification: every
 //       `// CHECK-MESSAGES: :[[@LINE-N]]:...: warning: <substr> [check]`
 //       comment must be matched by a finding, and every finding by an
 //       expectation.  Files with no expectations must scan clean.
-//   fallback_lint --tree path...     scan production sources (recursing into
+//   xatpg_lint --tree path...        scan production sources (recursing into
 //       directories); any finding fails the run.  Files under src/bdd/ are
 //       exempt from xatpg-raw-edge-arith (the kernel owns the encoding).
 //
@@ -583,7 +583,7 @@ std::vector<Finding> scan_file(const std::string& path,
                                std::vector<SourceLine>* out_lines = nullptr) {
   std::ifstream in(path);
   if (!in) {
-    std::cerr << "fallback_lint: cannot open " << path << "\n";
+    std::cerr << "xatpg_lint: cannot open " << path << "\n";
     std::exit(2);
   }
   Preprocessor pp;
@@ -676,7 +676,7 @@ int verify_fixture(const std::string& path) {
     ++failures;
   }
   const char* verdict = failures == 0 ? "OK" : "FAIL";
-  std::cout << "fallback_lint --verify " << path << ": " << verdict << " ("
+  std::cout << "xatpg_lint --verify " << path << ": " << verdict << " ("
             << expects.size() << " expectation(s))\n";
   return failures;
 }
@@ -691,8 +691,8 @@ bool lintable(const std::filesystem::path& p) {
 int main(int argc, char** argv) {
   std::vector<std::string> args(argv + 1, argv + argc);
   if (args.size() < 2 || (args[0] != "--verify" && args[0] != "--tree")) {
-    std::cerr << "usage: fallback_lint --verify fixture.cpp...\n"
-                 "       fallback_lint --tree path...\n";
+    std::cerr << "usage: xatpg_lint --verify fixture.cpp...\n"
+                 "       xatpg_lint --tree path...\n";
     return 2;
   }
 
@@ -726,7 +726,7 @@ int main(int argc, char** argv) {
       ++total;
     }
   }
-  std::cout << "fallback_lint --tree: " << files.size() << " file(s), "
+  std::cout << "xatpg_lint --tree: " << files.size() << " file(s), "
             << total << " finding(s)\n";
   return total == 0 ? 0 : 1;
 }

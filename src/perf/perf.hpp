@@ -1,10 +1,10 @@
 // Corpus performance harness + machine-readable perf records + regression
 // comparator.  `xatpg bench` (tools/xatpg_cli.cpp) is the front end and the
 // one driver of the paper's artifacts: its text output is Table 1 (si/),
-// Table 2 (bd/) and the same columns for the other families, and every
-// record carries the Figure 2 CSSG counts.  The CI perf-smoke job runs it on
-// every push and diffs the produced record against the checked-in
-// bench/baseline.json.
+// Table 2 (bd/) and the same columns for the other families, each followed
+// by the family's Figure 2 CSSG sizes, and the JSON record carries the same
+// numbers.  The CI perf-smoke job runs it on every push and diffs the
+// produced record against the checked-in bench/baseline.json.
 //
 // The corpus covers three workload families, all driven through the public
 // Session facade:

@@ -7,7 +7,7 @@
 // settles every consistent faulty state with it during exact fault-sim
 // confirmation (most of the time of a pre-built netlist run goes here).  It
 // is also the test oracle for the conservative ternary simulator and for the
-// symbolic TCR_k/CSSG computation, and bench_fig1 uses it to demonstrate
+// symbolic TCR_k/CSSG computation, and examples/fig1_races uses it to show
 // non-confluence and oscillation on the paper's Figure 1 circuits.
 #pragma once
 

@@ -24,8 +24,9 @@
 //
 // `run --json` emits the paper's table columns (tot/cov per universe,
 // rnd/3-ph/sim, BDD node accounting, CPU time) as a single JSON object.
-// `bench` prints the paper's tables (si/ is Table 1, bd/ is Table 2) and
-// `bench --json` emits the versioned perf record (see src/perf/perf.hpp);
+// `bench` prints the paper's tables (si/ is Table 1, bd/ is Table 2, each
+// with its Figure 2 sizes) and `bench --json` emits the versioned perf
+// record (see src/perf/perf.hpp);
 // `bench-compare` diffs two records and exits 1 on any regression — the CI
 // perf gate is exactly this command against bench/baseline.json.
 // `serve` runs the long-lived ATPG daemon (src/serve, docs/PROTOCOL.md);

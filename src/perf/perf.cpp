@@ -578,13 +578,19 @@ using JsonValue = json::Value;
 
 namespace {
 
-// A missing object (pre-schema-5 records) reads as all zeros.
+// The schema-5 objects of a circuit entry; nullptr when absent (older
+// records), which leaves the field zeroed.
+const JsonValue* optional_object(const JsonValue& circuit, const char* key) {
+  const JsonValue* object = circuit.find(key);
+  XATPG_CHECK_MSG(object == nullptr || object->type == JsonValue::Type::Object,
+                  "perf record: '" << key << "' is not an object");
+  return object;
+}
+
 AtpgStats parse_universe(const JsonValue& circuit, const char* key) {
   AtpgStats stats;
-  const JsonValue* universe = circuit.find(key);
+  const JsonValue* universe = optional_object(circuit, key);
   if (universe == nullptr) return stats;
-  XATPG_CHECK_MSG(universe->type == JsonValue::Type::Object,
-                  "perf record: '" << key << "' is not an object");
   stats.total_faults = size_field(*universe, "total");
   stats.covered = size_field(*universe, "covered");
   stats.by_random = size_field(*universe, "rnd");
@@ -598,10 +604,8 @@ AtpgStats parse_universe(const JsonValue& circuit, const char* key) {
 
 CssgStats parse_cssg(const JsonValue& circuit) {
   CssgStats stats;
-  const JsonValue* cssg = circuit.find("cssg");
+  const JsonValue* cssg = optional_object(circuit, "cssg");
   if (cssg == nullptr) return stats;
-  XATPG_CHECK_MSG(cssg->type == JsonValue::Type::Object,
-                  "perf record: 'cssg' is not an object");
   stats.reachable_states = num_field(*cssg, "reachable_states", 0);
   stats.stable_states = num_field(*cssg, "stable_states", 0);
   stats.tcr_pairs = num_field(*cssg, "tcr_pairs", 0);
@@ -657,7 +661,7 @@ BenchRecord parse_record(const std::string& json_text) {
     c.cache_hits = size_field(entry, "cache_hits");
     c.cache_hit_rate = num_field(entry, "cache_hit_rate", 0);
     c.unique_load = num_field(entry, "unique_load", 0);
-    c.output_stuck = parse_universe(entry, "output_stuck");  // pre-schema-5: 0
+    c.output_stuck = parse_universe(entry, "output_stuck");
     c.input_stuck = parse_universe(entry, "input_stuck");
     c.cssg = parse_cssg(entry);
     record.circuits.push_back(std::move(c));

@@ -106,7 +106,8 @@ TEST(CliContract, DegenerateOptionsAreOptionErrorJson) {
   // k = 0 makes every vector "oscillate", and a random walk of length 0
   // only ever applies reset pulses; AtpgOptions::validate rejects both.
   for (const char* flag : {"--k 0", "--random-walk-len 0"}) {
-    const CliResult result = run_cli(std::string("run --circuit fig1a ") + flag);
+    const CliResult result =
+        run_cli(std::string("run --circuit fig1a ") + flag);
     EXPECT_EQ(result.exit_code, 1) << flag;
     EXPECT_EQ(error_code_of(result), "OptionError") << flag;
   }

@@ -83,9 +83,11 @@ struct AtpgOptions {
   /// state a legal test session can pass through.  Sound; skips the
   /// 3-phase search for proven faults.
   bool classify_undetectable = false;
-  /// Worker threads for the fault-parallel 3-phase search.  1 = run on the
-  /// engine's own symbolic context only; 0 = one worker per hardware
-  /// thread.  Outcomes and sequences are byte-identical for every value.
+  /// Worker threads for the fault-parallel phases: the random phase's exact
+  /// fault simulation and the 3-phase search.  1 = run both inline on the
+  /// calling thread (the engine's own symbolic context only); 0 = one
+  /// worker per hardware thread.  Outcomes, sequences and observer events
+  /// are byte-identical for every value.
   std::size_t threads = 1;
 
   /// Hard ceiling for `threads` (beyond it a value is a typo, not a fleet).

@@ -10,6 +10,10 @@
 //  * Callbacks fire between faults (and between work blocks during the
 //    parallel 3-phase fan-out); keep them cheap, they sit on the run's
 //    critical path.
+//  * The random phase's events fire after its pass: on_phase(RandomTpg)
+//    comes first, then the fault-parallel pass runs with no callback, then
+//    each committed walk's on_fault_resolved events and one on_progress
+//    snapshot follow, walk by walk.
 //  * on_fault_resolved fires exactly once per fault whose outcome becomes
 //    final during the run (covered by any phase, or proven redundant);
 //    faults left undetected get no event.  Events arrive in deterministic
@@ -19,7 +23,9 @@
 //  * A CancelToken may be fired from any thread (it is a thread-safe shared
 //    flag), including from inside an observer callback.  The run stops at
 //    the next between-faults checkpoint and returns the deterministic
-//    partial result (AtpgResult::cancelled == true).
+//    partial result (AtpgResult::cancelled == true).  A cancel fired
+//    during the random pass (on_phase(RandomTpg) included) commits no
+//    random walk: the partial result holds no sequence at all.
 #pragma once
 
 #include <atomic>
@@ -143,8 +149,8 @@ class RunObserver {
   virtual void on_fault_resolved(std::size_t /*fault_index*/,
                                  const FaultOutcome& /*outcome*/) {}
 
-  /// Periodic snapshot (after each random walk, between generation work
-  /// blocks, after each committed sequence).
+  /// Periodic snapshot (after each committed random walk, between
+  /// generation work blocks, after each committed sequence).
   virtual void on_progress(const RunProgress& /*progress*/) {}
 };
 

@@ -1,9 +1,12 @@
 #include "atpg/engine.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <deque>
 #include <exception>
+#include <map>
+#include <numeric>
 #include <ostream>
 #include <thread>
 #include <unordered_set>
@@ -27,6 +30,80 @@ std::size_t resolved_threads(std::size_t requested) {
 
 bool cancel_fired(const CancelToken* cancel) {
   return cancel != nullptr && cancel->cancelled();
+}
+
+/// Workers a fan-out over `items` indices uses: the resolved thread count,
+/// never more than there are items, at least one.
+std::size_t fan_out_workers(std::size_t threads, std::size_t items) {
+  return std::min(resolved_threads(threads), std::max<std::size_t>(items, 1));
+}
+
+using IndexQueue = StealingWorkQueue<std::size_t>;
+
+/// The engine's one fan-out idiom, shared by the random phase and the
+/// 3-phase search: runs `body(w, i)` for every index `i` in `items` on
+/// worker `w`.  With one worker everything runs inline on the calling
+/// thread, in item order, with no pool and no queue.  Otherwise the items
+/// are pre-split into coarse blocks dealt out across per-worker deques: a
+/// worker drains its own deque first and steals whole blocks from a victim
+/// once dry, so a whale item pinning one worker donates that worker's
+/// untouched blocks instead of stranding them.  Workers 1.. run on a
+/// ThreadPool; the calling thread is worker 0 and calls `after_block(queue)`
+/// between its own blocks (observer callbacks stay on the calling thread).
+/// Every worker polls `cancel` before each item and stops once it fires.
+/// `body` may write a per-item slot race-free: every index is claimed by
+/// exactly one block, every block by exactly one worker (the queue's
+/// single-CAS claim).  An exception on any worker is rethrown after the
+/// join.  Returns each worker's stolen-block count (all zero inline).
+template <typename Body, typename AfterBlock>
+std::vector<std::size_t> fan_out(const std::vector<std::size_t>& items,
+                                 std::size_t workers, const CancelToken* cancel,
+                                 const Body& body,
+                                 const AfterBlock& after_block) {
+  std::vector<std::size_t> steals(workers, 0);
+  if (workers <= 1) {
+    for (const std::size_t i : items) {
+      if (cancel_fired(cancel)) break;
+      body(0, i);
+    }
+    return steals;
+  }
+  IndexQueue queue(items, work_block_size(items.size(), workers), workers);
+  std::vector<std::exception_ptr> errors(workers);
+  {
+    ThreadPool pool(workers - 1);
+    for (std::size_t w = 1; w < workers; ++w) {
+      pool.submit([&, w] {
+        try {
+          while (const auto block = queue.pop_block(w))
+            for (const std::size_t i : *block) {
+              if (cancel_fired(cancel)) return;
+              body(w, i);
+            }
+        } catch (...) {
+          errors[w] = std::current_exception();
+        }
+      });
+    }
+    try {
+      while (const auto block = queue.pop_block(0)) {
+        for (const std::size_t i : *block) {
+          if (cancel_fired(cancel)) break;
+          body(0, i);
+        }
+        after_block(queue);
+        if (cancel_fired(cancel)) break;
+      }
+    } catch (...) {
+      errors[0] = std::current_exception();
+    }
+    pool.wait_idle();
+  }
+  for (const std::exception_ptr& error : errors)
+    if (error) std::rethrow_exception(error);
+  // Steal counts are exact after the join.
+  for (std::size_t w = 0; w < workers; ++w) steals[w] = queue.steals(w);
+  return steals;
 }
 
 }  // namespace
@@ -61,7 +138,6 @@ struct AtpgEngine::ShardCounters {
   std::atomic<std::size_t> peak{0};
   std::atomic<std::size_t> reorders{0};
   std::atomic<std::size_t> done{0};
-  std::atomic<std::size_t> steals{0};
   std::atomic<std::size_t> cache_lookups{0};
   std::atomic<std::size_t> cache_hits{0};
   /// Unique-table load factor, published as its raw bit pattern so the
@@ -342,146 +418,84 @@ void AtpgEngine::generate_parallel(const std::vector<Fault>& faults,
                                    const CancelToken* cancel,
                                    RunObserver* observer,
                                    const std::function<RunProgress()>& make_base) {
-  const std::size_t workers =
-      std::min(resolved_threads(options_.threads),
-               todo.empty() ? std::size_t{1} : todo.size());
+  const std::size_t workers = fan_out_workers(options_.threads, todo.size());
   if (shard_done_.size() < workers) shard_done_.resize(workers, 0);
   if (shard_steals_.size() < workers) shard_steals_.resize(workers, 0);
+  if (extra_shards_.size() < workers - 1) extra_shards_.resize(workers - 1);
 
   // Results land here first (slot per fault index, written by exactly one
   // worker) and are memoized after the join: the cache is not touched from
   // worker threads.
   std::vector<SearchOutcome> generated(faults.size());
   std::vector<char> attempted(faults.size(), 0);
+  std::vector<ShardCounters> counters(workers);
 
-  if (workers <= 1) {
-    for (const std::size_t i : todo) {
-      if (cancel_fired(cancel)) break;
-      generated[i] = generate_test_on(*shard0_, faults[i]);
-      attempted[i] = 1;
-      ++shard_done_[0];
-    }
-  } else {
-    // Work-stealing fan-out: the batch is pre-split into coarse blocks of
-    // fault indices dealt out across per-worker deques; a worker drains its
-    // own deque first and steals whole blocks from a victim once dry, so a
-    // whale fault pinning one worker donates that worker's untouched blocks
-    // instead of stranding them.  Each block is processed on the claiming
-    // worker's private shard.  Writing generated[i] is race-free: every
-    // index is claimed by exactly one block, every block by exactly one
-    // worker (the queue's single-CAS claim).
-    StealingWorkQueue<std::size_t> queue(
-        todo, work_block_size(todo.size(), workers), workers);
-    if (extra_shards_.size() < workers - 1) extra_shards_.resize(workers - 1);
-    std::vector<ShardCounters> counters(workers);
-    std::vector<std::exception_ptr> errors(workers);
-    {
-      ThreadPool pool(workers - 1);
-      for (std::size_t w = 1; w < workers; ++w) {
-        pool.submit([&, w] {
-          try {
-            // Claim a block before (lazily) building the delta view: a
-            // worker that never gets work pays nothing at all.  View
-            // construction is cheap (handle adoption, no node copies) and
-            // reads only the frozen base, which thread creation published.
-            while (const auto block = queue.pop_block(w)) {
-              if (!extra_shards_[w - 1]) extra_shards_[w - 1] = build_delta();
-              const Cssg& shard = *extra_shards_[w - 1];
-              counters[w].steals.store(queue.steals(w),
+  // Each fault is searched on the claiming worker's private shard (worker 0
+  // is the calling thread, on the engine's own context).  A worker builds
+  // its delta view lazily, at its first fault: one that never gets work pays
+  // nothing at all.  View construction is cheap (handle adoption, no node
+  // copies) and reads only the frozen base, which thread creation published.
+  const auto search = [&](std::size_t w, std::size_t i) {
+    if (w > 0 && !extra_shards_[w - 1]) extra_shards_[w - 1] = build_delta();
+    const Cssg& shard = w == 0 ? *shard0_ : *extra_shards_[w - 1];
+    generated[i] = generate_test_on(shard, faults[i]);
+    attempted[i] = 1;
+    // Worker 0's snapshot reads its manager directly; the others publish.
+    const BddManager& mgr = shard.encoding().mgr();
+    counters[w].live.store(mgr.allocated_nodes(), std::memory_order_relaxed);
+    counters[w].peak.store(mgr.peak_nodes(), std::memory_order_relaxed);
+    counters[w].reorders.store(mgr.reorder_count(), std::memory_order_relaxed);
+    counters[w].cache_lookups.store(mgr.cache_lookups(),
+                                    std::memory_order_relaxed);
+    counters[w].cache_hits.store(mgr.cache_hits(), std::memory_order_relaxed);
+    counters[w].unique_load_bits.store(double_to_bits(mgr.unique_load()),
                                        std::memory_order_relaxed);
-              for (const std::size_t i : *block) {
-                if (cancel_fired(cancel)) return;
-                generated[i] = generate_test_on(shard, faults[i]);
-                attempted[i] = 1;
-                const BddManager& mgr = shard.encoding().mgr();
-                counters[w].live.store(mgr.allocated_nodes(),
-                                       std::memory_order_relaxed);
-                counters[w].peak.store(mgr.peak_nodes(),
-                                       std::memory_order_relaxed);
-                counters[w].reorders.store(mgr.reorder_count(),
-                                           std::memory_order_relaxed);
-                counters[w].cache_lookups.store(mgr.cache_lookups(),
-                                                std::memory_order_relaxed);
-                counters[w].cache_hits.store(mgr.cache_hits(),
-                                             std::memory_order_relaxed);
-                counters[w].unique_load_bits.store(
-                    double_to_bits(mgr.unique_load()),
-                    std::memory_order_relaxed);
-                counters[w].done.fetch_add(1, std::memory_order_relaxed);
-              }
-            }
-          } catch (...) {
-            errors[w] = std::current_exception();
-          }
-        });
-      }
-      // The main thread is worker 0, on the engine's own context.  Between
-      // its own blocks it streams a progress snapshot assembled from the
-      // workers' published counters (observer contract: callbacks fire on
-      // the calling thread only).
-      try {
-        while (const auto block = queue.pop_block(0)) {
-          for (const std::size_t i : *block) {
-            if (cancel_fired(cancel)) break;
-            generated[i] = generate_test_on(*shard0_, faults[i]);
-            attempted[i] = 1;
-            counters[0].done.fetch_add(1, std::memory_order_relaxed);
-          }
-          if (observer != nullptr) {
-            RunProgress progress = make_base();
-            progress.shards.push_back(snapshot_shard(
-                0, shard0_->encoding().mgr(),
-                shard_done_[0] +
-                    counters[0].done.load(std::memory_order_relaxed),
-                shard_steals_[0] + queue.steals(0)));
-            // Base sifting passes belong to shard 0 (counted once).
-            progress.shards.back().reorders += base_reorder_count_;
-            for (std::size_t w = 1; w < workers; ++w) {
-              ShardBddStats stats;
-              stats.shard = w;
-              // Workers publish delta-arena counters only; the shared-base
-              // size is a frozen constant the main thread composes in.
-              stats.base_nodes = base_node_count_;
-              stats.delta_peak =
-                  counters[w].peak.load(std::memory_order_relaxed);
-              stats.live_nodes =
-                  base_node_count_ +
-                  counters[w].live.load(std::memory_order_relaxed);
-              stats.peak_nodes = base_node_count_ + stats.delta_peak;
-              stats.reorders =
-                  counters[w].reorders.load(std::memory_order_relaxed);
-              stats.faults_done =
-                  shard_done_[w] +
-                  counters[w].done.load(std::memory_order_relaxed);
-              stats.cache_lookups =
-                  counters[w].cache_lookups.load(std::memory_order_relaxed);
-              stats.cache_hits =
-                  counters[w].cache_hits.load(std::memory_order_relaxed);
-              stats.unique_load = bits_to_double(
-                  counters[w].unique_load_bits.load(std::memory_order_relaxed));
-              stats.blocks_stolen =
-                  shard_steals_[w] +
-                  counters[w].steals.load(std::memory_order_relaxed);
-              progress.shards.push_back(stats);
-            }
-            observer->on_progress(progress);
-          }
-          if (cancel_fired(cancel)) break;
-        }
-      } catch (...) {
-        errors[0] = std::current_exception();
-      }
-      pool.wait_idle();
+    counters[w].done.fetch_add(1, std::memory_order_relaxed);
+  };
+
+  // Between its own blocks the calling thread streams a progress snapshot
+  // assembled from the workers' published counters (observer contract:
+  // callbacks fire on the calling thread only).
+  const auto stream_progress = [&](const IndexQueue& queue) {
+    if (observer == nullptr) return;
+    RunProgress progress = make_base();
+    progress.shards.push_back(snapshot_shard(
+        0, shard0_->encoding().mgr(),
+        shard_done_[0] + counters[0].done.load(std::memory_order_relaxed),
+        shard_steals_[0] + queue.steals(0)));
+    // Base sifting passes belong to shard 0 (counted once).
+    progress.shards.back().reorders += base_reorder_count_;
+    for (std::size_t w = 1; w < workers; ++w) {
+      ShardBddStats stats;
+      stats.shard = w;
+      // Workers publish delta-arena counters only; the shared-base size is
+      // a frozen constant the main thread composes in.
+      stats.base_nodes = base_node_count_;
+      stats.delta_peak = counters[w].peak.load(std::memory_order_relaxed);
+      stats.live_nodes =
+          base_node_count_ + counters[w].live.load(std::memory_order_relaxed);
+      stats.peak_nodes = base_node_count_ + stats.delta_peak;
+      stats.reorders = counters[w].reorders.load(std::memory_order_relaxed);
+      stats.faults_done =
+          shard_done_[w] + counters[w].done.load(std::memory_order_relaxed);
+      stats.cache_lookups =
+          counters[w].cache_lookups.load(std::memory_order_relaxed);
+      stats.cache_hits = counters[w].cache_hits.load(std::memory_order_relaxed);
+      stats.unique_load = bits_to_double(
+          counters[w].unique_load_bits.load(std::memory_order_relaxed));
+      stats.blocks_stolen = shard_steals_[w] + queue.steals(w);
+      progress.shards.push_back(stats);
     }
-    for (const std::exception_ptr& error : errors)
-      if (error) std::rethrow_exception(error);
-    // Fold this batch's per-shard completions into the run-level totals so
-    // snapshots emitted after the join keep reporting them.  Steal counts
-    // come straight from the queue — exact after the join.
-    for (std::size_t w = 0; w < workers; ++w) {
-      shard_done_[w] += counters[w].done.load(std::memory_order_relaxed);
-      shard_steals_[w] += queue.steals(w);
-    }
+    observer->on_progress(progress);
+  };
+
+  const std::vector<std::size_t> steals =
+      fan_out(todo, workers, cancel, search, stream_progress);
+  // Fold this batch's per-shard completions and steals into the run-level
+  // totals so snapshots emitted after the join keep reporting them.
+  for (std::size_t w = 0; w < workers; ++w) {
+    shard_done_[w] += counters[w].done.load(std::memory_order_relaxed);
+    shard_steals_[w] += steals[w];
   }
 
   // Memoize completed searches (single-threaded again).  Faults skipped by
@@ -507,6 +521,114 @@ std::vector<ShardBddStats> AtpgEngine::shard_bdd_stats() const {
                                     count_of(shard_steals_, w + 1)));
   }
   return shards;
+}
+
+// ---------------------------------------------------------------------------
+// Fault-major random TPG (§5.4)
+// ---------------------------------------------------------------------------
+
+std::vector<AtpgEngine::RandomHit> AtpgEngine::random_pass(
+    const std::vector<Fault>& faults,
+    std::vector<std::unique_ptr<FaultSimulator>>& sims,
+    const CancelToken* cancel) const {
+  // Vectors generated per round of walks, so that a huge random_budget
+  // never holds more than one round in memory.
+  constexpr std::size_t kWalkRoundSteps = std::size_t{1} << 16;
+  using Walk = std::vector<const ExplicitCssg::Edge*>;
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  // A fault's first detecting walk (global index) and the step within it.
+  struct Detection {
+    std::size_t walk = kNone;
+    std::size_t step = 0;
+  };
+  std::vector<Detection> first(faults.size());
+  std::map<std::size_t, RandomHit> hits;  // by global walk index
+  std::vector<std::size_t> live(faults.size());
+  std::iota(live.begin(), live.end(), std::size_t{0});
+
+  Rng rng(options_.seed);
+  // A circuit whose reset state has no valid vector at all (every pattern
+  // races — it happens on heavily hazardous bounded-delay circuits) cannot
+  // be random-tested.
+  std::size_t budget =
+      graph_.edges[reset_id_].empty() ? 0 : options_.random_budget;
+  std::size_t walk_base = 0;  // global index of this round's first walk
+  do {
+    // The round's walks.  A fresh walk models a reset pulse followed by
+    // random valid vectors.
+    std::vector<Walk> walks;
+    for (std::size_t steps = 0; budget > 0 && steps < kWalkRoundSteps;) {
+      Walk walk;
+      std::uint32_t good_id = reset_id_;
+      while (walk.size() < options_.random_walk_len && budget > 0) {
+        const auto& edges = graph_.edges[good_id];
+        if (edges.empty()) break;
+        const auto& edge = edges[rng.below(edges.size())];
+        --budget;
+        walk.push_back(&edge);
+        good_id = edge.to;
+      }
+      steps += walk.size();
+      walks.push_back(std::move(walk));
+    }
+
+    // Each fault no earlier round detected steps its simulator (built on
+    // the worker that claims the fault) through the walks in order, up to
+    // its first detection.
+    const auto find_first = [&](std::size_t /*worker*/, std::size_t i) {
+      if (!sims[i])
+        sims[i] = std::make_unique<FaultSimulator>(*netlist_, faults[i],
+                                                   reset_state_, options_.sim);
+      FaultSimulator& sim = *sims[i];
+      for (std::size_t w = 0; w < walks.size() && !cancel_fired(cancel); ++w) {
+        sim.restart();
+        // The reset settle depends only on the fault: once it gives up, it
+        // gives up for every walk.
+        if (sim.status() == DetectStatus::GaveUp) return;
+        for (std::size_t step = 0; step < walks[w].size(); ++step) {
+          const ExplicitCssg::Edge* edge = walks[w][step];
+          const DetectStatus status =
+              sim.step(edge->pattern, graph_.states[edge->to]);
+          if (status == DetectStatus::Detected) {
+            first[i] = Detection{walk_base + w, step};
+            return;
+          }
+          if (status == DetectStatus::GaveUp) break;
+        }
+      }
+    };
+    fan_out(live, fan_out_workers(options_.threads, live.size()), cancel,
+            find_first, [](const IndexQueue&) {});
+    if (cancel_fired(cancel)) return {};
+
+    std::vector<std::size_t> undetected;
+    for (const std::size_t i : live) {
+      if (first[i].walk == kNone) {
+        undetected.push_back(i);
+        continue;
+      }
+      RandomHit& hit = hits[first[i].walk];
+      if (hit.resolved.empty())
+        for (const ExplicitCssg::Edge* edge : walks[first[i].walk - walk_base])
+          hit.walk.vectors.push_back(edge->pattern);
+      hit.resolved.push_back(i);
+    }
+    live = std::move(undetected);
+    walk_base += walks.size();
+  } while (budget > 0 && !live.empty());
+
+  // Commit order: walk order, and within a walk the order of detection —
+  // step, then fault index (`resolved` is ascending) — as a walk-major loop
+  // resolves them.
+  std::vector<RandomHit> ordered;
+  for (auto& [walk, hit] : hits) {
+    std::stable_sort(hit.resolved.begin(), hit.resolved.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return first[a].step < first[b].step;
+                     });
+    ordered.push_back(std::move(hit));
+  }
+  return ordered;
 }
 
 // ---------------------------------------------------------------------------
@@ -633,57 +755,29 @@ AtpgResult AtpgEngine::run_universe(RunObserver* observer,
     observer->on_progress(progress);
   };
 
-  // Long-lived exact simulators, one per fault — stepped along random walks
-  // first, restart()ed per committed sequence in the merge phase later.
-  std::vector<std::unique_ptr<FaultSimulator>> sims;
-  sims.reserve(faults.size());
-  for (const Fault& f : faults)
-    sims.push_back(std::make_unique<FaultSimulator>(*netlist_, f,
-                                                    reset_state_, options_.sim));
-
   // --- Random TPG (§5.4) ----------------------------------------------------
+  // Long-lived exact simulators, one per fault: built and stepped along the
+  // random walks by the random pass, restart()ed per committed sequence in
+  // the merge phase later.
   if (observer != nullptr) observer->on_phase(RunPhase::RandomTpg);
   Timer random_timer;
-  Rng rng(options_.seed);
-  std::size_t budget = options_.random_budget;
-  while (budget > 0 && !is_cancelled()) {
-    // A fresh walk models a reset pulse followed by random valid vectors.
-    // A circuit whose reset state has no valid vector at all (every pattern
-    // races — it happens on heavily hazardous bounded-delay circuits)
-    // cannot be random-tested.
-    if (graph_.edges[reset_id_].empty()) break;
-    for (auto& sim : sims) sim->restart();
-    TestSequence walk;
-    std::uint32_t good_id = reset_id_;
-    std::vector<std::size_t> walk_resolved;
-    for (std::size_t step = 0; step < options_.random_walk_len && budget > 0;
-         ++step) {
-      const auto& edges = graph_.edges[good_id];
-      if (edges.empty()) break;
-      const auto& edge = edges[rng.below(edges.size())];
-      --budget;
-      walk.vectors.push_back(edge.pattern);
-      const auto& good_state = graph_.states[edge.to];
-      for (std::size_t i = 0; i < sims.size(); ++i) {
-        if (result.outcomes[i].covered_by != CoveredBy::None) continue;
-        if (sims[i]->status() != DetectStatus::Undetermined) continue;
-        if (sims[i]->step(edge.pattern, good_state) == DetectStatus::Detected) {
-          result.outcomes[i].covered_by = CoveredBy::Random;
-          result.outcomes[i].sequence_index =
-              static_cast<int>(result.sequences.size());
-          ++result.stats.by_random;
-          walk_resolved.push_back(i);
-        }
+  std::vector<std::unique_ptr<FaultSimulator>> sims(faults.size());
+  std::vector<RandomHit> hits = random_pass(faults, sims, cancel);
+  // A cancel fired during the pass commits no random walk.  The simulators
+  // may then be partly built; nothing below touches them once the token has
+  // fired (classification and the merge both stop first).
+  if (!is_cancelled()) {
+    for (RandomHit& hit : hits) {
+      const int seq_index = static_cast<int>(result.sequences.size());
+      for (const std::size_t i : hit.resolved) {
+        result.outcomes[i].covered_by = CoveredBy::Random;
+        result.outcomes[i].sequence_index = seq_index;
+        ++result.stats.by_random;
       }
-      good_id = edge.to;
-    }
-    if (!walk_resolved.empty()) {
-      result.sequences.push_back(walk);
-      for (const std::size_t i : walk_resolved) notify_resolved(i);
+      result.sequences.push_back(std::move(hit.walk));
+      for (const std::size_t i : hit.resolved) notify_resolved(i);
       emit_progress(RunPhase::RandomTpg);
     }
-    // Stop early once everything is covered.
-    if (result.stats.by_random == faults.size()) break;
   }
   result.stats.random_seconds = random_timer.seconds();
 

@@ -10,8 +10,17 @@
 // include/xatpg/; the engine itself is internal — out-of-tree consumers
 // drive it through xatpg::Session.
 //
-// Parallel architecture: the 3-phase search is embarrassingly parallel
-// across the fault list, so run() fans it out over `threads` workers.
+// Parallel architecture: the random phase's exact fault simulation and the
+// 3-phase search are both embarrassingly parallel across the fault list, so
+// run() fans each out over `threads` workers through one helper (fan_out in
+// engine.cpp; at threads 1 it runs inline, with no pool).
+//   * Random phase, fault-major: the walks depend only on the seed, the
+//     budget, the walk length and the explicit CSSG, so they are generated
+//     up front; a worker builds each fault's exact simulator and steps it
+//     through the walks in order until its first detecting walk.  The
+//     calling thread then commits in walk order, and within a walk in
+//     detection order (step, then fault index) — what a walk-major loop
+//     commits.
 //   * The constructor builds the shared symbolic substrate (encoding +
 //     CSSG relations + reachable sets) ONCE, then freezes its BddManager:
 //     the node arena, unique subtables and variable order become immutable
@@ -51,7 +60,8 @@
 //     between work blocks inside the parallel fan-out), and on cancellation
 //     returns the deterministic partial result: the sequence list is a
 //     prefix of the uncancelled run's, and every committed outcome is
-//     final.
+//     final.  A cancel during the random pass commits no random walk (the
+//     empty prefix).
 //   * Generated tests are memoized per fault across runs (each test is a
 //     pure function of the fault given the circuit/options).  add_faults()
 //     re-runs the whole flow on the grown universe: every fault still
@@ -195,6 +205,22 @@ class AtpgEngine {
                          const std::vector<std::size_t>& todo,
                          const CancelToken* cancel, RunObserver* observer,
                          const std::function<RunProgress()>& make_base);
+  /// A random walk that detected faults no earlier walk detected, with
+  /// those faults in commit (and on_fault_resolved) order.
+  struct RandomHit {
+    TestSequence walk;
+    std::vector<std::size_t> resolved;
+  };
+  /// Fault-major random TPG: the walks are generated from options_.seed
+  /// alone (in rounds of bounded size), and each fault's exact simulator is
+  /// built in sims[i] and stepped through them up to its first detecting
+  /// walk, fanned out over `threads` workers like the 3-phase search.
+  /// Returns the detecting walks in walk order.  When `cancel` fires it
+  /// returns nothing and sims may be left partly built.
+  std::vector<RandomHit> random_pass(
+      const std::vector<Fault>& faults,
+      std::vector<std::unique_ptr<FaultSimulator>>& sims,
+      const CancelToken* cancel) const;
   /// Post-merge cross fault simulation of one committed sequence: 64-lane
   /// ternary screen over the remaining uncovered faults, exact confirmation
   /// of every flag, exact fallback for faults with no generated test.

@@ -26,7 +26,6 @@ void FaultSimulator::restart() {
       fault_initial_state(*good_, fault_, reset_values_);
   std::vector<bool> inputs;
   for (const SignalId in : faulty_.inputs()) inputs.push_back(start[in]);
-  std::set<std::vector<bool>> settled;
   const ExploreResult result =
       explore_settling(faulty_, start, inputs, options_.k);
   if (result.exceeded_bound) {

@@ -39,7 +39,7 @@ class ThreadPool {
   std::size_t size() const { return workers_.size(); }
 
   /// Enqueue a task.  Tasks must not throw — wrap bodies that can fail and
-  /// stash the std::exception_ptr (see AtpgEngine::run).
+  /// stash the std::exception_ptr (see fan_out in atpg/engine.cpp).
   void submit(std::function<void()> task) XATPG_EXCLUDES(mutex_);
 
   /// Block until the queue is empty and every worker is idle.

@@ -16,21 +16,28 @@
 // off-set, and the greedy cover that consumed its primes.  It enumerates every
 // implicant of on ∪ dc (about 3^n when dc is most of the space), so
 // callers keep nvars small.
+//
+// The random-phase oracle is the walk-major random TPG loop the engine ran
+// before its random phase went fault-major (tests/test_parallel_atpg.cpp):
+// one walk at a time, every live fault simulator stepped at every vector.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "atpg/engine.hpp"
 #include "netlist/netlist.hpp"
 #include "sgraph/cssg.hpp"
 #include "sim/explicit.hpp"
 #include "synth/cover.hpp"
 #include "util/check.hpp"
+#include "util/random.hpp"
 
 namespace xatpg::testing {
 
@@ -280,6 +287,80 @@ inline std::vector<MinCube> oracle_greedy_cover(
     if (redundant) cover = std::move(without);
   }
   return cover;
+}
+
+// --- random TPG oracle -------------------------------------------------------
+
+/// What the random phase commits: every fault's outcome (Random or None),
+/// the detecting walks in commit order, and the on_fault_resolved order.
+struct OracleRandomPhase {
+  std::vector<FaultOutcome> outcomes;
+  std::vector<TestSequence> sequences;
+  std::vector<std::size_t> resolved;
+};
+
+/// The random phase of `engine.run(faults)` (engine options, explicit CSSG,
+/// reset id), computed by the walk-major loop: per walk, restart every
+/// simulator, then step every still-live one at each vector.  The loop is
+/// the engine's former one, minus its observer and cancel hooks.
+inline OracleRandomPhase oracle_random_phase(const AtpgEngine& engine,
+                                             const Netlist& netlist,
+                                             const std::vector<bool>& reset,
+                                             const std::vector<Fault>& faults) {
+  const AtpgOptions& options = engine.options();
+  const ExplicitCssg& graph = engine.graph();
+  const std::uint32_t reset_id = engine.follow({})->front();
+  AtpgResult result;
+  for (const Fault& f : faults) result.outcomes.push_back(FaultOutcome{f});
+  std::vector<std::size_t> resolved;
+  const auto notify_resolved = [&](std::size_t i) { resolved.push_back(i); };
+  std::vector<std::unique_ptr<FaultSimulator>> sims;
+  for (const Fault& f : faults)
+    sims.push_back(
+        std::make_unique<FaultSimulator>(netlist, f, reset, options.sim));
+
+  Rng rng(options.seed);
+  std::size_t budget = options.random_budget;
+  while (budget > 0) {
+    // A fresh walk models a reset pulse followed by random valid vectors.
+    // A circuit whose reset state has no valid vector at all (every pattern
+    // races — it happens on heavily hazardous bounded-delay circuits)
+    // cannot be random-tested.
+    if (graph.edges[reset_id].empty()) break;
+    for (auto& sim : sims) sim->restart();
+    TestSequence walk;
+    std::uint32_t good_id = reset_id;
+    std::vector<std::size_t> walk_resolved;
+    for (std::size_t step = 0; step < options.random_walk_len && budget > 0;
+         ++step) {
+      const auto& edges = graph.edges[good_id];
+      if (edges.empty()) break;
+      const auto& edge = edges[rng.below(edges.size())];
+      --budget;
+      walk.vectors.push_back(edge.pattern);
+      const auto& good_state = graph.states[edge.to];
+      for (std::size_t i = 0; i < sims.size(); ++i) {
+        if (result.outcomes[i].covered_by != CoveredBy::None) continue;
+        if (sims[i]->status() != DetectStatus::Undetermined) continue;
+        if (sims[i]->step(edge.pattern, good_state) == DetectStatus::Detected) {
+          result.outcomes[i].covered_by = CoveredBy::Random;
+          result.outcomes[i].sequence_index =
+              static_cast<int>(result.sequences.size());
+          ++result.stats.by_random;
+          walk_resolved.push_back(i);
+        }
+      }
+      good_id = edge.to;
+    }
+    if (!walk_resolved.empty()) {
+      result.sequences.push_back(walk);
+      for (const std::size_t i : walk_resolved) notify_resolved(i);
+    }
+    // Stop early once everything is covered.
+    if (result.stats.by_random == faults.size()) break;
+  }
+  return {std::move(result.outcomes), std::move(result.sequences),
+          std::move(resolved)};
 }
 
 }  // namespace xatpg::testing

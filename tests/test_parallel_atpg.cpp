@@ -4,11 +4,14 @@
 // byte-identical FaultOutcome tables, test sequences, and phase counters —
 // scheduling (including work stealing) may only change wall-clock numbers.
 //
+// The fault-major random phase is checked against the walk-major loop it
+// replaced (tests/oracle.hpp): same outcomes, walks and event order.
+//
 // This suite is also the ThreadSanitizer workload in CI: the threads=2/4/8
 // runs exercise the thread pool, the work-stealing queue (own-deque pops
 // AND cross-deque steals, including the owner/thief race on a deque's last
-// block), the per-worker shard build, and every shared read-only path
-// (netlist, explicit CSSG).
+// block), the per-worker shard build, the per-fault simulators of the
+// random phase, and every shared read-only path (netlist, explicit CSSG).
 #include "atpg/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -19,6 +22,7 @@
 #include "atpg/fault.hpp"
 #include "benchmarks/benchmarks.hpp"
 #include "fixtures.hpp"
+#include "oracle.hpp"
 #include "util/thread_pool.hpp"
 #include "util/work_queue.hpp"
 
@@ -78,6 +82,103 @@ void check_determinism(const Netlist& netlist, const std::vector<bool>& reset,
     }
     expect_identical(*base_in, in, threads, name + "/input");
     expect_identical(*base_out, out, threads, name + "/output");
+  }
+}
+
+/// Records every on_fault_resolved event of one run.
+class ResolvedRecorder : public RunObserver {
+ public:
+  void on_fault_resolved(std::size_t index,
+                         const FaultOutcome& outcome) override {
+    events.emplace_back(index, outcome);
+  }
+  std::vector<std::pair<std::size_t, FaultOutcome>> events;
+};
+
+// --- random phase against the walk-major oracle --------------------------------
+// 512 vectors in walks of 6 make 86 walks: several of them commit (3 on
+// bd/hazard, 6 on mmu) and faults resolve at different steps of one walk,
+// so a commit in the wrong walk or fault order shows.  (determinism_options'
+// single walk of 24 cannot.)
+
+void check_random_phase(const Netlist& netlist, const std::vector<bool>& reset,
+                        const std::vector<Fault>& faults,
+                        const std::string& name) {
+  std::optional<testing::OracleRandomPhase> oracle;
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+    SCOPED_TRACE(name + " threads=" + std::to_string(threads));
+    AtpgOptions options = determinism_options(threads);
+    options.random_budget = 512;
+    options.random_walk_len = 6;
+    AtpgEngine engine(netlist, reset, options);
+    if (!oracle) {
+      oracle = testing::oracle_random_phase(engine, netlist, reset, faults);
+      ASSERT_FALSE(oracle->sequences.empty());
+    }
+    ResolvedRecorder recorder;
+    const AtpgResult result = engine.run(faults, &recorder);
+
+    EXPECT_EQ(result.stats.by_random, oracle->resolved.size());
+    ASSERT_GE(result.sequences.size(), oracle->sequences.size());
+    for (std::size_t s = 0; s < oracle->sequences.size(); ++s)
+      EXPECT_EQ(result.sequences[s], oracle->sequences[s]) << "sequence " << s;
+    for (std::size_t j = 0; j < faults.size(); ++j) {
+      if (oracle->outcomes[j].covered_by == CoveredBy::Random)
+        EXPECT_EQ(result.outcomes[j], oracle->outcomes[j]) << "fault " << j;
+      else
+        EXPECT_NE(result.outcomes[j].covered_by, CoveredBy::Random)
+            << "fault " << j;
+    }
+    // The random phase resolves first, in the oracle's order.
+    ASSERT_GE(recorder.events.size(), oracle->resolved.size());
+    std::vector<std::size_t> first_events;
+    for (std::size_t e = 0; e < oracle->resolved.size(); ++e)
+      first_events.push_back(recorder.events[e].first);
+    EXPECT_EQ(first_events, oracle->resolved);
+  }
+}
+
+TEST(RandomPhase, MatchesWalkMajorOracleOnRandS11) {
+  RandomNetlistOptions shape;  // the perf corpus's rand/s11 shape
+  shape.num_inputs = 3;
+  shape.num_gates = 8;
+  const fixtures::Circuit c = fixtures::random_netlist(11, shape);
+  check_random_phase(c.netlist, c.reset, input_stuck_faults(c.netlist),
+                     "rand/s11/input");
+  check_random_phase(c.netlist, c.reset, output_stuck_faults(c.netlist),
+                     "rand/s11/output");
+}
+
+TEST(RandomPhase, MatchesWalkMajorOracleOnBdHazard) {
+  const auto synth = benchmark_circuit("hazard", SynthStyle::BoundedDelay);
+  check_random_phase(synth.netlist, synth.reset_state,
+                     input_stuck_faults(synth.netlist), "bd/hazard/input");
+}
+
+TEST(RandomPhase, MatchesWalkMajorOracleOnMmu) {
+  const auto synth = benchmark_circuit("mmu", SynthStyle::BoundedDelay);
+  check_random_phase(synth.netlist, synth.reset_state,
+                     input_stuck_faults(synth.netlist), "bd/mmu/input");
+}
+
+TEST(RandomPhase, HugeBudgetStopsOnceEveryFaultIsDetected) {
+  // Walks are generated in bounded rounds, and the pass ends once no fault
+  // is left: a budget of 2^40 vectors (a serve frame may ask for up to
+  // 2^53) must neither allocate its walks up front nor walk them all when
+  // the first walks already detect every fault.
+  const auto synth = benchmark_circuit("chu150", SynthStyle::BoundedDelay);
+  const auto faults = input_stuck_faults(synth.netlist);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    AtpgOptions options = determinism_options(threads);
+    options.random_budget = 512;
+    options.random_walk_len = 48;
+    AtpgEngine small(synth.netlist, synth.reset_state, options);
+    const AtpgResult expected = small.run(faults);
+    ASSERT_EQ(expected.stats.by_random, faults.size());
+    options.random_budget = std::size_t{1} << 40;
+    AtpgEngine huge(synth.netlist, synth.reset_state, options);
+    expect_identical(expected, huge.run(faults), threads, "chu150/bd");
   }
 }
 
@@ -276,21 +377,55 @@ TEST(Cancellation, TokenAlreadyFiredYieldsEmptyRun) {
   EXPECT_TRUE(result.sequences.empty());
 }
 
+/// Fires the token as the random phase begins.
+class CancelAtRandomPhase : public RunObserver {
+ public:
+  explicit CancelAtRandomPhase(CancelToken token) : token_(std::move(token)) {}
+  void on_phase(RunPhase phase) override {
+    if (phase == RunPhase::RandomTpg) token_.request_cancel();
+  }
+
+ private:
+  CancelToken token_;
+};
+
+TEST(Cancellation, CancelDuringRandomPhaseCommitsNoWalk) {
+  // A cancel fired during the random pass commits no walk: the empty
+  // prefix, at every thread count.  The simulators are then partly built,
+  // and the skipped merge must not touch them; resuming finishes the job.
+  const auto synth = benchmark_circuit("mmu", SynthStyle::BoundedDelay);
+  const auto faults = input_stuck_faults(synth.netlist);
+  std::optional<AtpgResult> base_partial;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{4}}) {
+    AtpgOptions options = determinism_options(threads);
+    options.random_budget = 512;
+    options.random_walk_len = 6;
+    AtpgEngine full_engine(synth.netlist, synth.reset_state, options);
+    const AtpgResult full = full_engine.run(faults);
+    ASSERT_GT(full.stats.by_random, 0u);
+
+    AtpgEngine engine(synth.netlist, synth.reset_state, options);
+    CancelToken token;
+    CancelAtRandomPhase observer(token);
+    const AtpgResult partial = engine.run(faults, &observer, &token);
+    EXPECT_TRUE(partial.sequences.empty());
+    EXPECT_EQ(partial.stats.covered, 0u);
+    expect_prefix_of(partial, full,
+                     "mmu/bd threads=" + std::to_string(threads));
+    if (!base_partial)
+      base_partial = partial;
+    else
+      expect_identical(*base_partial, partial, threads, "mmu/bd random cancel");
+    expect_identical(full, engine.add_faults({}), threads, "mmu/bd resume");
+  }
+}
+
 // --- incremental runs ---------------------------------------------------------
 // add_faults() must behave as if the union universe had been run from
 // scratch: cached searches are never redone, new faults are searched before
 // the first commit, every resolution event is final, and the merged result
 // is byte-identical — at every thread count.
-
-/// Records every on_fault_resolved event of one run.
-class ResolvedRecorder : public RunObserver {
- public:
-  void on_fault_resolved(std::size_t index,
-                         const FaultOutcome& outcome) override {
-    events.emplace_back(index, outcome);
-  }
-  std::vector<std::pair<std::size_t, FaultOutcome>> events;
-};
 
 /// Sum of faults_done over every shard: the 3-phase searches the engine's
 /// most recent run paid for.

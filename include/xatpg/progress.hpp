@@ -18,14 +18,16 @@
 //    final during the run (covered by any phase, or proven redundant);
 //    faults left undetected get no event.  Events arrive in deterministic
 //    order for a fixed fault list, independent of the thread count.  The
-//    reported outcome is final, add_faults included: it equals the
-//    returned result's entry for that fault.
+//    reported outcome is final: it equals the returned result's entry for
+//    that fault.
 //  * A CancelToken may be fired from any thread (it is a thread-safe shared
 //    flag), including from inside an observer callback.  The run stops at
 //    the next between-faults checkpoint and returns the deterministic
-//    partial result (AtpgResult::cancelled == true).  A cancel fired
-//    during the random pass (on_phase(RandomTpg) included) commits no
-//    random walk: the partial result holds no sequence at all.
+//    partial result (AtpgResult::cancelled == true), a prefix of the
+//    uncancelled run's; a new run on the same faults redoes the job from
+//    scratch.  A cancel fired during the random pass (on_phase(RandomTpg)
+//    included) commits no random walk: the partial result holds no
+//    sequence at all.
 #pragma once
 
 #include <atomic>

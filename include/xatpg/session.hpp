@@ -12,30 +12,26 @@
 //
 // Lifecycle
 // ---------
-//  1. Construct through a factory (from_xnl / from_xnl_file /
-//     from_benchmark).  All construction failures — malformed text, failed
-//     synthesis, degenerate options, blown resource caps — come back as
-//     typed errors; nothing aborts or exits.
-//  2. run(faults) establishes the session's fault universe and runs the
-//     full flow (random TPG -> 3-phase symbolic ATPG -> cross fault
-//     simulation), optionally streaming progress to a RunObserver and
-//     honouring a CancelToken (see xatpg/progress.hpp for the contract).
-//  3. add_faults(more) grows the universe and reruns the flow on the union:
-//     memoized 3-phase searches are reused, and every new fault that random
-//     TPG and the classifier leave unresolved is searched before the first
-//     commit.  The combined result is byte-identical to a from-scratch run
-//     on the union universe.  add_faults({}) after a cancelled run resumes
-//     it: cached searches are reused and the final result is byte-identical
-//     to an uncancelled run.
-//  4. Results, test-program export and statistics are read back at any
-//     time; the expensive artifacts (CSSG, shards, generated tests) persist
-//     across runs on the same Session.
+//  1. Construct through a factory (from_xnl / from_xnl_file / from_bench /
+//     from_bench_file / from_benchmark).  All construction failures —
+//     malformed text, failed synthesis, degenerate options, blown resource
+//     caps — come back as typed errors; nothing aborts or exits.
+//  2. run(faults) runs the full flow (random TPG -> 3-phase symbolic ATPG
+//     -> cross fault simulation) on that fault list and returns its result,
+//     optionally streaming progress to a RunObserver and honouring a
+//     CancelToken (see xatpg/progress.hpp for the contract).  Each run is a
+//     self-contained pass: its result equals a fresh Session's run on the
+//     same faults.  A cancelled run is finished by running its faults again.
+//  3. run() may be called again, on the same or another fault list (the
+//     output universe, then the input one): the CSSG and the worker BDD
+//     shards persist across runs on the same Session.  Test-program export
+//     and statistics are read back between runs.
 //
 // Concurrency contract — ONE SESSION PER JOB
 // ------------------------------------------
-// A Session is single-threaded: at most one run()/add_faults() may be
-// active on it at a time, and the accessors are only safe between runs on
-// the thread that owns the Session.  Servers and worker pools must give
+// A Session is single-threaded: at most one run() may be active on it at
+// a time, and the accessors are only safe between runs on the thread that
+// owns the Session.  Servers and worker pools must give
 // every concurrent job its own Session (sessions for the same circuit are
 // cheap relative to a run, and results are byte-identical across them) —
 // sharing one Session across workers is NOT made safe by any external
@@ -43,10 +39,10 @@
 // engine state.  The only cross-thread operation supported is firing a run's
 // CancelToken, which is safe from any thread at any time.
 //
-// Violations are loud, not UB: entering run()/add_faults() while another
-// run is active on the same Session — from another thread, or reentrantly
-// from inside an observer callback — throws xatpg::CheckError (a
-// std::logic_error) instead of corrupting engine state.  Like BadExpectedAccess, this reports a
+// Violations are loud, not UB: entering run() while another run is active
+// on the same Session — from another thread, or reentrantly from inside an
+// observer callback — throws xatpg::CheckError (a std::logic_error) instead
+// of corrupting engine state.  Like BadExpectedAccess, this reports a
 // programming error in the consumer, so it is deliberately an exception
 // rather than a typed Error the caller might be tempted to retry.
 #pragma once
@@ -136,27 +132,14 @@ class Session {
 
   // --- runs -----------------------------------------------------------------
 
-  /// Run the full flow on `faults` (replacing any previous universe).
-  /// Streams events to `observer` and stops cooperatively between faults
-  /// when `cancel` fires (the partial result is deterministic and
-  /// resumable).  Invalid faults (out-of-range ids) yield OptionError.
+  /// Run the full flow on `faults`, a self-contained pass (see the file
+  /// header).  Streams events to `observer` and stops cooperatively between
+  /// faults when `cancel` fires (the partial result is deterministic: a
+  /// prefix of the uncancelled run's).  Invalid faults (out-of-range ids)
+  /// yield OptionError.
   [[nodiscard]] Expected<AtpgResult> run(const std::vector<Fault>& faults,
                            RunObserver* observer = nullptr,
                            const CancelToken* cancel = nullptr);
-
-  /// Grow the universe and rerun the flow on the union, reusing memoized
-  /// searches (see the file header).  The returned result covers the whole
-  /// union universe and is byte-identical to a from-scratch run on it.
-  [[nodiscard]] Expected<AtpgResult> add_faults(const std::vector<Fault>& faults,
-                                  RunObserver* observer = nullptr,
-                                  const CancelToken* cancel = nullptr);
-
-  /// The current fault universe (what run/add_faults accumulated).
-  [[nodiscard]] const std::vector<Fault>& fault_universe() const;
-  /// True once run() has produced a result on this session.
-  [[nodiscard]] bool has_result() const;
-  /// The last run's result.  Precondition: has_result().
-  [[nodiscard]] const AtpgResult& last_result() const;
 
   // --- export & accounting --------------------------------------------------
 

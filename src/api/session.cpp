@@ -27,17 +27,31 @@ struct Session::Impl {
   std::vector<bool> reset;
   AtpgOptions options;
   std::unique_ptr<AtpgEngine> engine;
-  std::optional<AtpgResult> result;
   /// Reentrancy sentinel for the one-run-at-a-time contract (session.hpp).
   std::atomic<bool> running{false};
+
+  /// Shared tail of every factory: build the engine (CSSG + explicit graph)
+  /// for the loaded circuit, translating internal failures into typed
+  /// errors.
+  static Expected<Session> finish(std::unique_ptr<Impl> impl);
+  /// Shared body of the text factories: parse with `parse` (which throws
+  /// CheckError on malformed input) and settle the all-false reset state.
+  static Expected<Session> from_text(Netlist (*parse)(const std::string&),
+                                     const std::string& text,
+                                     const AtpgOptions& options);
+  /// Shared body of the file factories: read `path` and hand its text to
+  /// the matching text factory.
+  static Expected<Session> from_file(
+      Expected<Session> (*from_text)(const std::string&, const AtpgOptions&),
+      const std::string& path, const AtpgOptions& options);
 };
 
 namespace {
 
-/// Enforces the one-run-at-a-time contract: entering run()/add_faults()
-/// while another run is active on the same Session (from another server
-/// worker, or reentrantly from an observer callback) is a consumer
-/// programming error, so it throws CheckError — deliberately constructed
+/// Enforces the one-run-at-a-time contract: entering run() while another
+/// run is active on the same Session (from another server worker, or
+/// reentrantly from an observer callback) is a consumer programming
+/// error, so it throws CheckError — deliberately constructed
 /// BEFORE the typed-error try block so the violation stays loud instead of
 /// being translated into a ResourceError the caller might retry.
 class RunGuard {
@@ -56,27 +70,6 @@ class RunGuard {
  private:
   std::atomic<bool>& running_;
 };
-
-/// Build the engine (CSSG + explicit graph) for an already-loaded circuit,
-/// translating internal failures into typed errors.
-Expected<void> build_engine(const Netlist& netlist,
-                            const std::vector<bool>& reset,
-                            const AtpgOptions& options,
-                            std::unique_ptr<AtpgEngine>& engine) {
-  const Expected<void> valid = options.validate();
-  if (!valid) return valid.error();
-  try {
-    engine = std::make_unique<AtpgEngine>(netlist, reset, options);
-  } catch (const CheckError& e) {
-    return Error{ErrorCode::ResourceError,
-                 std::string("building the CSSG abstraction failed: ") +
-                     e.what()};
-  } catch (const std::bad_alloc&) {
-    return Error{ErrorCode::ResourceError,
-                 "out of memory building the CSSG abstraction"};
-  }
-  return {};
-}
 
 Error invalid_fault_error(const Netlist& netlist, const Fault& fault,
                           std::size_t index) {
@@ -115,79 +108,74 @@ Session::Session(Session&&) noexcept = default;
 Session& Session::operator=(Session&&) noexcept = default;
 Session::~Session() = default;
 
-namespace {
-
-/// Shared front of the text factories: parse with `parse` (which throws
-/// CheckError on malformed input) and settle the all-false reset state.
-Expected<void> parse_and_settle(Netlist (*parse)(const std::string&),
-                                const std::string& text, Netlist& netlist,
-                                std::vector<bool>& reset) {
+Expected<Session> Session::Impl::finish(std::unique_ptr<Impl> impl) {
+  const Expected<void> valid = impl->options.validate();
+  if (!valid) return valid.error();
   try {
-    netlist = parse(text);
+    impl->engine =
+        std::make_unique<AtpgEngine>(impl->netlist, impl->reset, impl->options);
+  } catch (const CheckError& e) {
+    return Error{ErrorCode::ResourceError,
+                 std::string("building the CSSG abstraction failed: ") +
+                     e.what()};
+  } catch (const std::bad_alloc&) {
+    return Error{ErrorCode::ResourceError,
+                 "out of memory building the CSSG abstraction"};
+  }
+  return Session(std::move(impl));
+}
+
+Expected<Session> Session::Impl::from_text(
+    Netlist (*parse)(const std::string&), const std::string& text,
+    const AtpgOptions& options) {
+  auto impl = std::make_unique<Impl>();
+  impl->options = options;
+  try {
+    impl->netlist = parse(text);
   } catch (const CheckError& e) {
     return Error{ErrorCode::ParseError, e.what()};
   } catch (const std::bad_alloc&) {
     return Error{ErrorCode::ResourceError, "out of memory parsing the circuit"};
   }
-  reset.assign(netlist.num_signals(), false);
-  if (!settle_to_stable(netlist, reset))
+  impl->reset.assign(impl->netlist.num_signals(), false);
+  if (!settle_to_stable(impl->netlist, impl->reset))
     return Error{ErrorCode::ResourceError,
-                 "circuit '" + netlist.name() +
+                 "circuit '" + impl->netlist.name() +
                      "' does not settle to a stable state from the all-false "
                      "assignment; no test-mode reset state exists"};
-  return {};
+  return finish(std::move(impl));
 }
 
-Expected<std::string> slurp(const std::string& path) {
+Expected<Session> Session::Impl::from_file(
+    Expected<Session> (*from_text)(const std::string&, const AtpgOptions&),
+    const std::string& path, const AtpgOptions& options) {
   std::ifstream in(path);
   if (!in)
     return Error{ErrorCode::ResourceError,
                  "cannot open '" + path + "' for reading"};
   std::ostringstream text;
   text << in.rdbuf();
-  return text.str();
+  return from_text(text.str(), options);
 }
-
-}  // namespace
 
 Expected<Session> Session::from_xnl(const std::string& text,
                                     const AtpgOptions& options) {
-  auto impl = std::make_unique<Impl>();
-  impl->options = options;
-  if (const auto parsed = parse_and_settle(&parse_xnl_string, text,
-                                           impl->netlist, impl->reset);
-      !parsed)
-    return parsed.error();
-  if (const auto built = build_engine(impl->netlist, impl->reset, impl->options, impl->engine); !built)
-    return built.error();
-  return Session(std::move(impl));
+  return Impl::from_text(&parse_xnl_string, text, options);
 }
 
 Expected<Session> Session::from_xnl_file(const std::string& path,
                                          const AtpgOptions& options) {
-  const Expected<std::string> text = slurp(path);
-  if (!text) return text.error();
-  return from_xnl(text.value(), options);
+  return Impl::from_file(&from_xnl, path, options);
 }
 
 Expected<Session> Session::from_bench(const std::string& text,
                                       const AtpgOptions& options) {
-  auto impl = std::make_unique<Impl>();
-  impl->options = options;
-  if (const auto parsed = parse_and_settle(&parse_bench_string, text,
-                                           impl->netlist, impl->reset);
-      !parsed)
-    return parsed.error();
-  if (const auto built = build_engine(impl->netlist, impl->reset, impl->options, impl->engine); !built)
-    return built.error();
-  return Session(std::move(impl));
+  return Impl::from_text(&parse_bench_string, text, options);
 }
 
 Expected<Session> Session::from_bench_file(const std::string& path,
                                            const AtpgOptions& options) {
-  const Expected<std::string> text = slurp(path);
-  if (!text) return text.error();
-  return from_bench(text.value(), options);
+  return Impl::from_file(&from_bench, path, options);
 }
 
 Expected<Session> Session::from_benchmark(const std::string& name,
@@ -215,9 +203,7 @@ Expected<Session> Session::from_benchmark(const std::string& name,
       return Error{ErrorCode::SynthError, e.what()};
     }
   }
-  if (const auto built = build_engine(impl->netlist, impl->reset, impl->options, impl->engine); !built)
-    return built.error();
-  return Session(std::move(impl));
+  return Impl::finish(std::move(impl));
 }
 
 const std::string& Session::circuit_name() const {
@@ -261,36 +247,13 @@ Expected<AtpgResult> Session::run(const std::vector<Fault>& faults,
   if (const auto invalid = validate_faults(impl_->netlist, faults))
     return *invalid;
   try {
-    impl_->result = impl_->engine->run(faults, observer, cancel);
-    return *impl_->result;
+    return impl_->engine->run(faults, observer, cancel);
   } catch (const CheckError& e) {
     return Error{ErrorCode::ResourceError, e.what()};
   } catch (const std::bad_alloc&) {
     return Error{ErrorCode::ResourceError, "out of memory during the run"};
   }
 }
-
-Expected<AtpgResult> Session::add_faults(const std::vector<Fault>& faults,
-                                         RunObserver* observer,
-                                         const CancelToken* cancel) {
-  RunGuard guard(impl_->running);
-  if (const auto invalid = validate_faults(impl_->netlist, faults))
-    return *invalid;
-  try {
-    impl_->result = impl_->engine->add_faults(faults, observer, cancel);
-    return *impl_->result;
-  } catch (const CheckError& e) {
-    return Error{ErrorCode::ResourceError, e.what()};
-  } catch (const std::bad_alloc&) {
-    return Error{ErrorCode::ResourceError, "out of memory during the run"};
-  }
-}
-
-const std::vector<Fault>& Session::fault_universe() const {
-  return impl_->engine->universe();
-}
-bool Session::has_result() const { return impl_->result.has_value(); }
-const AtpgResult& Session::last_result() const { return *impl_->result; }
 
 Expected<std::string> Session::test_program(const AtpgResult& result) const {
   std::ostringstream out;

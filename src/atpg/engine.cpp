@@ -108,19 +108,6 @@ std::vector<std::size_t> fan_out(const std::vector<std::size_t>& items,
 
 }  // namespace
 
-std::size_t AtpgEngine::FaultHash::operator()(const Fault& fault) const {
-  // splitmix-style mix of the four fields; quality matters little (the map
-  // holds at most a few thousand faults) but determinism does not — this is
-  // never iterated, only probed.
-  std::uint64_t h = static_cast<std::uint64_t>(fault.gate);
-  h = (h << 20) ^ (static_cast<std::uint64_t>(fault.pin) << 2);
-  h ^= static_cast<std::uint64_t>(fault.site == Fault::Site::GatePin) << 1;
-  h ^= static_cast<std::uint64_t>(fault.stuck_value);
-  h *= 0x9e3779b97f4a7c15ull;
-  h ^= h >> 32;
-  return static_cast<std::size_t>(h);
-}
-
 /// Published by each worker at fault granularity; read by the run's calling
 /// thread to stream per-shard BDD statistics while generation is running.
 ///
@@ -404,17 +391,13 @@ AtpgEngine::SearchOutcome AtpgEngine::generate_test_on(
   return SearchOutcome{std::nullopt, truncated || from_reset.truncated};
 }
 
-std::optional<TestSequence> AtpgEngine::generate_test(
-    const Fault& fault) const {
-  return generate_test_on(*shard0_, fault).sequence;
-}
-
 // ---------------------------------------------------------------------------
 // Fault-parallel generation
 // ---------------------------------------------------------------------------
 
 void AtpgEngine::generate_parallel(const std::vector<Fault>& faults,
                                    const std::vector<std::size_t>& todo,
+                                   std::vector<SearchOutcome>& searched,
                                    const CancelToken* cancel,
                                    RunObserver* observer,
                                    const std::function<RunProgress()>& make_base) {
@@ -422,12 +405,6 @@ void AtpgEngine::generate_parallel(const std::vector<Fault>& faults,
   if (shard_done_.size() < workers) shard_done_.resize(workers, 0);
   if (shard_steals_.size() < workers) shard_steals_.resize(workers, 0);
   if (extra_shards_.size() < workers - 1) extra_shards_.resize(workers - 1);
-
-  // Results land here first (slot per fault index, written by exactly one
-  // worker) and are memoized after the join: the cache is not touched from
-  // worker threads.
-  std::vector<SearchOutcome> generated(faults.size());
-  std::vector<char> attempted(faults.size(), 0);
   std::vector<ShardCounters> counters(workers);
 
   // Each fault is searched on the claiming worker's private shard (worker 0
@@ -438,8 +415,8 @@ void AtpgEngine::generate_parallel(const std::vector<Fault>& faults,
   const auto search = [&](std::size_t w, std::size_t i) {
     if (w > 0 && !extra_shards_[w - 1]) extra_shards_[w - 1] = build_delta();
     const Cssg& shard = w == 0 ? *shard0_ : *extra_shards_[w - 1];
-    generated[i] = generate_test_on(shard, faults[i]);
-    attempted[i] = 1;
+    // One slot per fault index, written by exactly one worker.
+    searched[i] = generate_test_on(shard, faults[i]);
     // Worker 0's snapshot reads its manager directly; the others publish.
     const BddManager& mgr = shard.encoding().mgr();
     counters[w].live.store(mgr.allocated_nodes(), std::memory_order_relaxed);
@@ -461,8 +438,7 @@ void AtpgEngine::generate_parallel(const std::vector<Fault>& faults,
     RunProgress progress = make_base();
     progress.shards.push_back(snapshot_shard(
         0, shard0_->encoding().mgr(),
-        shard_done_[0] + counters[0].done.load(std::memory_order_relaxed),
-        shard_steals_[0] + queue.steals(0)));
+        counters[0].done.load(std::memory_order_relaxed), queue.steals(0)));
     // Base sifting passes belong to shard 0 (counted once).
     progress.shards.back().reorders += base_reorder_count_;
     for (std::size_t w = 1; w < workers; ++w) {
@@ -476,14 +452,13 @@ void AtpgEngine::generate_parallel(const std::vector<Fault>& faults,
           base_node_count_ + counters[w].live.load(std::memory_order_relaxed);
       stats.peak_nodes = base_node_count_ + stats.delta_peak;
       stats.reorders = counters[w].reorders.load(std::memory_order_relaxed);
-      stats.faults_done =
-          shard_done_[w] + counters[w].done.load(std::memory_order_relaxed);
+      stats.faults_done = counters[w].done.load(std::memory_order_relaxed);
       stats.cache_lookups =
           counters[w].cache_lookups.load(std::memory_order_relaxed);
       stats.cache_hits = counters[w].cache_hits.load(std::memory_order_relaxed);
       stats.unique_load = bits_to_double(
           counters[w].unique_load_bits.load(std::memory_order_relaxed));
-      stats.blocks_stolen = shard_steals_[w] + queue.steals(w);
+      stats.blocks_stolen = queue.steals(w);
       progress.shards.push_back(stats);
     }
     observer->on_progress(progress);
@@ -491,17 +466,12 @@ void AtpgEngine::generate_parallel(const std::vector<Fault>& faults,
 
   const std::vector<std::size_t> steals =
       fan_out(todo, workers, cancel, search, stream_progress);
-  // Fold this batch's per-shard completions and steals into the run-level
-  // totals so snapshots emitted after the join keep reporting them.
+  // Keep the per-shard completions and steals so snapshots emitted after the
+  // join keep reporting them.
   for (std::size_t w = 0; w < workers; ++w) {
-    shard_done_[w] += counters[w].done.load(std::memory_order_relaxed);
-    shard_steals_[w] += steals[w];
+    shard_done_[w] = counters[w].done.load(std::memory_order_relaxed);
+    shard_steals_[w] = steals[w];
   }
-
-  // Memoize completed searches (single-threaded again).  Faults skipped by
-  // a fired CancelToken stay unmemoized and are attempted by a later run.
-  for (const std::size_t i : todo)
-    if (attempted[i]) generated_cache_.emplace(faults[i], std::move(generated[i]));
 }
 
 std::vector<ShardBddStats> AtpgEngine::shard_bdd_stats() const {
@@ -637,7 +607,8 @@ std::vector<AtpgEngine::RandomHit> AtpgEngine::random_pass(
 
 void AtpgEngine::cross_simulate(
     const std::vector<Fault>& faults,
-    std::vector<std::unique_ptr<FaultSimulator>>& sims, std::size_t committed,
+    std::vector<std::unique_ptr<FaultSimulator>>& sims,
+    const std::vector<SearchOutcome>& searched, std::size_t committed,
     const TestSequence& seq, const std::vector<std::uint32_t>& path,
     int seq_index, AtpgResult& result,
     std::vector<std::size_t>& resolved) const {
@@ -671,12 +642,7 @@ void AtpgEngine::cross_simulate(
     // for those the exact simulator is the only remaining chance at
     // coverage, exactly as in the serial engine; skipping it would regress
     // coverage where ternary is too conservative.
-    if (!flagged[j]) {
-      const auto it = generated_cache_.find(faults[j]);
-      const bool search_exhausted =
-          it != generated_cache_.end() && !it->second.sequence.has_value();
-      if (!search_exhausted) continue;
-    }
+    if (!flagged[j] && searched[j].sequence.has_value()) continue;
     FaultSimulator& sim = *sims[j];
     sim.restart();
     DetectStatus status = sim.status();
@@ -698,20 +664,6 @@ void AtpgEngine::cross_simulate(
 
 AtpgResult AtpgEngine::run(const std::vector<Fault>& faults,
                            RunObserver* observer, const CancelToken* cancel) {
-  universe_ = faults;
-  return run_universe(observer, cancel);
-}
-
-AtpgResult AtpgEngine::add_faults(const std::vector<Fault>& faults,
-                                  RunObserver* observer,
-                                  const CancelToken* cancel) {
-  universe_.insert(universe_.end(), faults.begin(), faults.end());
-  return run_universe(observer, cancel);
-}
-
-AtpgResult AtpgEngine::run_universe(RunObserver* observer,
-                                    const CancelToken* cancel) {
-  const std::vector<Fault>& faults = universe_;
   Timer total_timer;
   AtpgResult result;
   result.outcomes.reserve(faults.size());
@@ -804,13 +756,11 @@ AtpgResult AtpgEngine::run_universe(RunObserver* observer,
         !result.outcomes[i].proven_redundant)
       todo.push_back(i);
 
-  // Search every unmemoized fault up front (one parallel fan-out; memoized
-  // searches from earlier runs on this engine are reused, never redone).
-  std::vector<std::size_t> unsearched;
-  for (const std::size_t i : todo)
-    if (!generated_cache_.contains(faults[i])) unsearched.push_back(i);
+  // Search every fault the merge may commit up front, in one parallel
+  // fan-out.  searched[i] is meaningful for the faults in todo only.
+  std::vector<SearchOutcome> searched(faults.size());
   if (!is_cancelled())
-    generate_parallel(faults, unsearched, cancel, observer,
+    generate_parallel(faults, todo, searched, cancel, observer,
                       [&] { return progress_snapshot(RunPhase::ThreePhase); });
 
   // --- deterministic merge + cross fault simulation (§5.4) -------------------
@@ -821,10 +771,8 @@ AtpgResult AtpgEngine::run_universe(RunObserver* observer,
     if (result.outcomes[i].covered_by != CoveredBy::None) continue;
     // Only a cancel fired during the fan-out leaves a fault unsearched, and
     // a fired token stops the loop above.
-    const auto cached = generated_cache_.find(faults[i]);
-    XATPG_CHECK(cached != generated_cache_.end());
-    if (!cached->second.sequence) continue;  // undetected (redundant or gave up)
-    const TestSequence& seq = *cached->second.sequence;
+    if (!searched[i].sequence) continue;  // undetected (redundant or gave up)
+    const TestSequence& seq = *searched[i].sequence;
     const int seq_index = static_cast<int>(result.sequences.size());
     result.outcomes[i].covered_by = CoveredBy::ThreePhase;
     result.outcomes[i].sequence_index = seq_index;
@@ -833,7 +781,8 @@ AtpgResult AtpgEngine::run_universe(RunObserver* observer,
     const auto path = follow(seq);
     XATPG_CHECK(path.has_value());
     std::vector<std::size_t> resolved;
-    cross_simulate(faults, sims, i, seq, *path, seq_index, result, resolved);
+    cross_simulate(faults, sims, searched, i, seq, *path, seq_index, result,
+                   resolved);
     result.sequences.push_back(seq);
     notify_resolved(i);
     for (const std::size_t j : resolved) notify_resolved(j);
@@ -845,12 +794,11 @@ AtpgResult AtpgEngine::run_universe(RunObserver* observer,
   // genuinely search-exhausted — the distinction bench coverage floors need
   // to tell a redundant design from a budget blowout.  Cancelled runs may
   // leave faults unsearched; those stay gave_up = false (they were never
-  // attempted, a later run will search them).
+  // attempted).
   for (std::size_t i = 0; i < faults.size(); ++i) {
     if (result.outcomes[i].covered_by != CoveredBy::None) continue;
     if (result.outcomes[i].proven_redundant) continue;
-    const auto it = generated_cache_.find(faults[i]);
-    if (it != generated_cache_.end() && it->second.gave_up) {
+    if (searched[i].gave_up) {
       result.outcomes[i].gave_up = true;
       ++result.stats.gave_up;
     }

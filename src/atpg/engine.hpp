@@ -54,7 +54,7 @@
 //     byte-identical for any thread count and any steal interleaving,
 //     including threads=1.
 //
-// Streaming, cancellation, incrementality:
+// Streaming and cancellation:
 //   * run(faults, observer, cancel) fires RunObserver callbacks from the
 //     calling thread only, checks the CancelToken between faults (and
 //     between work blocks inside the parallel fan-out), and on cancellation
@@ -62,14 +62,9 @@
 //     prefix of the uncancelled run's, and every committed outcome is
 //     final.  A cancel during the random pass commits no random walk (the
 //     empty prefix).
-//   * Generated tests are memoized per fault across runs (each test is a
-//     pure function of the fault given the circuit/options).  add_faults()
-//     re-runs the whole flow on the grown universe: every fault still
-//     uncovered after the cheap phases whose search is not memoized is
-//     searched before the first commit, memoized searches are reused, so
-//     the result is byte-identical to a from-scratch run on the union
-//     universe and no search is ever paid for twice.  add_faults({}) after
-//     a cancelled run resumes it for the same reason.
+//   * Every run() is a self-contained pass over its fault list: nothing but
+//     the frozen CSSG and the worker delta views carries over to the next
+//     call, so a cancelled run is finished by running its faults again.
 #pragma once
 
 #include <cstdint>
@@ -77,7 +72,6 @@
 #include <iosfwd>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "atpg/fault.hpp"
@@ -91,8 +85,8 @@ namespace xatpg {
 
 /// ATPG driver bound to one circuit + reset state.  The CSSG is computed
 /// once and shared across fault universes (run() can be called repeatedly);
-/// worker shards and memoized 3-phase searches are likewise reused by later
-/// run()/add_faults() calls on the same engine.
+/// the lazily built worker shards are likewise reused by later run() calls
+/// on the same engine.
 class AtpgEngine {
  public:
   /// Rejects degenerate options loudly: throws CheckError when
@@ -113,35 +107,18 @@ class AtpgEngine {
 
   /// Run the full flow (random TPG -> fault-parallel 3-phase ->
   /// deterministic merge with cross fault simulation) on the given fault
-  /// universe, replacing any previous universe.  `observer` (optional)
-  /// receives the streaming events, `cancel` (optional) stops the run
-  /// cooperatively between faults — see xatpg/progress.hpp for the
-  /// contract.
+  /// universe.  `observer` (optional) receives the streaming events,
+  /// `cancel` (optional) stops the run cooperatively between faults — see
+  /// xatpg/progress.hpp for the contract.
   AtpgResult run(const std::vector<Fault>& faults,
                  RunObserver* observer = nullptr,
                  const CancelToken* cancel = nullptr);
-
-  /// Grow the current universe by `faults` and run the flow on the union.
-  /// Memoized searches are reused and every new still-uncovered fault is
-  /// searched before the first commit, so the result is byte-identical to
-  /// run(union) without redoing any earlier search.
-  AtpgResult add_faults(const std::vector<Fault>& faults,
-                        RunObserver* observer = nullptr,
-                        const CancelToken* cancel = nullptr);
-
-  /// The fault universe accumulated by run()/add_faults().
-  const std::vector<Fault>& universe() const { return universe_; }
 
   /// BDD accounting for every built symbolic shard (shard 0 = the engine's
   /// own context, then each lazily built worker shard), with faults_done /
   /// blocks_stolen from the most recent run.  Main-thread only, between
   /// runs — the same snapshot the final progress callback reports.
   std::vector<ShardBddStats> shard_bdd_stats() const;
-
-  /// 3-phase ATPG for a single fault; returns the test sequence (from
-  /// reset) or nullopt if the search space is exhausted (fault redundant or
-  /// beyond the caps).
-  std::optional<TestSequence> generate_test(const Fault& fault) const;
 
   /// True if the a-priori classifier proves the fault undetectable: the
   /// faulted line equals the stuck value in every state any legal test can
@@ -171,9 +148,6 @@ class AtpgEngine {
     std::optional<TestSequence> sequence;
     bool gave_up = false;
   };
-  struct FaultHash {
-    std::size_t operator()(const Fault& fault) const;
-  };
   /// Per-worker progress counters published at fault granularity so the
   /// main thread can stream per-shard BDD statistics while workers run.
   struct ShardCounters;
@@ -190,19 +164,18 @@ class AtpgEngine {
   std::unique_ptr<Cssg> build_shard() const;
   /// A fresh delta view over the frozen base — what every worker gets.
   std::unique_ptr<Cssg> build_delta() const;
-  /// The full deterministic flow over universe_ (shared by run/add_faults).
-  AtpgResult run_universe(RunObserver* observer, const CancelToken* cancel);
   /// Fan the 3-phase search for `todo` (fault indices) out over the worker
-  /// shards, memoizing each completed search in generated_cache_.  Called
-  /// once per run, before the merge, with every unmemoized fault the merge
-  /// may commit.  Faults skipped because `cancel` fired are left unmemoized
-  /// (a later run attempts them again).  Progress snapshots stream from the
-  /// calling thread between its own work blocks; `make_base` supplies a
-  /// fresh run-level snapshot (elapsed time, resolved counts) per emission.
-  /// Per-shard completed-search and steal counts are added to shard_done_ /
+  /// shards, writing each fault's outcome to searched[i].  Called once per
+  /// run, before the merge, with every fault the merge may commit.  Faults
+  /// skipped because `cancel` fired keep the default outcome (no test, not
+  /// gave_up).  Progress snapshots stream from the calling thread between
+  /// its own work blocks; `make_base` supplies a fresh run-level snapshot
+  /// (elapsed time, resolved counts) per emission.  Per-shard
+  /// completed-search and steal counts are stored in shard_done_ /
   /// shard_steals_ so later snapshots keep reporting them.
   void generate_parallel(const std::vector<Fault>& faults,
                          const std::vector<std::size_t>& todo,
+                         std::vector<SearchOutcome>& searched,
                          const CancelToken* cancel, RunObserver* observer,
                          const std::function<RunProgress()>& make_base);
   /// A random walk that detected faults no earlier walk detected, with
@@ -223,12 +196,14 @@ class AtpgEngine {
       const CancelToken* cancel) const;
   /// Post-merge cross fault simulation of one committed sequence: 64-lane
   /// ternary screen over the remaining uncovered faults, exact confirmation
-  /// of every flag, exact fallback for faults with no generated test.
-  /// `sims` are the long-lived per-fault exact simulators (restart()ed per
-  /// sequence, as in the random phase).  `resolved` collects the indices
-  /// whose outcome this call finalized (for observer events).
+  /// of every flag, exact fallback for faults whose own search (`searched`)
+  /// found no test.  `sims` are the long-lived per-fault exact simulators
+  /// (restart()ed per sequence, as in the random phase).  `resolved`
+  /// collects the indices whose outcome this call finalized (for observer
+  /// events).
   void cross_simulate(const std::vector<Fault>& faults,
                       std::vector<std::unique_ptr<FaultSimulator>>& sims,
+                      const std::vector<SearchOutcome>& searched,
                       std::size_t committed, const TestSequence& seq,
                       const std::vector<std::uint32_t>& path, int seq_index,
                       AtpgResult& result,
@@ -253,19 +228,12 @@ class AtpgEngine {
   /// Lazily built per-worker delta views (slot w serves pool worker w); the
   /// main thread always works on shard0_.  Reused by subsequent run() calls.
   std::vector<std::unique_ptr<Cssg>> extra_shards_;
-  /// The current fault universe (run() replaces, add_faults() extends).
-  std::vector<Fault> universe_;
   /// Per-shard 3-phase searches completed / blocks stolen during the most
-  /// recent run (index = worker slot).  Reset at the start of run_universe,
-  /// filled by its generate_parallel call, reported by progress snapshots
-  /// and shard_bdd_stats().
+  /// recent run (index = worker slot).  Reset at the start of run(), filled
+  /// by its generate_parallel call, reported by progress snapshots and
+  /// shard_bdd_stats().
   std::vector<std::size_t> shard_done_;
   std::vector<std::size_t> shard_steals_;
-  /// Memoized 3-phase searches: presence means the search was *completed*
-  /// for that fault (SearchOutcome::sequence nullopt = search exhausted or
-  /// gave up, fault undetected by its own test).  Never invalidated — a
-  /// search outcome is a pure function of (circuit, reset, options, fault).
-  std::unordered_map<Fault, SearchOutcome, FaultHash> generated_cache_;
 };
 
 /// Tester-facing export: vectors and expected primary-output responses per

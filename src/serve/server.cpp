@@ -5,6 +5,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -23,6 +24,9 @@
 namespace xatpg::serve {
 
 namespace {
+
+/// How often the watcher checks running jobs against max_job_seconds.
+constexpr int kBudgetTickMs = 20;
 
 /// Why a job ended cancelled (stored as an atomic int on the job; first
 /// writer wins so the reported reason matches the cause that fired first).
@@ -121,6 +125,9 @@ struct Server::Job {
   std::string key;            ///< cross-request cache key
   CancelToken cancel;
   std::atomic<int> reason{kNotCancelled};
+  /// When a worker took the job (guarded by Server::queue_mu_ while the job
+  /// is in running_).
+  std::chrono::steady_clock::time_point started;
 
   void cancel_with(int reason_code) {
     int expected = kNotCancelled;
@@ -130,28 +137,20 @@ struct Server::Job {
   }
 };
 
-/// Per-job observer on the run's calling thread: forwards progress frames
-/// when the client asked for them and enforces the cooperative time budget
-/// (both ride the engine's own between-faults checkpoints, so neither needs
-/// an extra thread).
+/// Per-job observer on the run's calling thread, attached when the client
+/// asked for progress frames: forwards each snapshot as one.
 class Server::JobObserver : public RunObserver {
  public:
-  JobObserver(std::shared_ptr<Job> job, double budget_seconds)
-      : job_(std::move(job)), budget_seconds_(budget_seconds) {}
+  explicit JobObserver(std::shared_ptr<Job> job) : job_(std::move(job)) {}
 
   void on_progress(const RunProgress& progress) override {
-    if (budget_seconds_ > 0 && progress.elapsed_seconds > budget_seconds_)
-      job_->cancel_with(kBudget);
-    if (job_->request.progress &&
-        job_->conn->alive.load(std::memory_order_acquire)) {
-      if (!job_->conn->send(progress_frame(job_->id, progress)))
-        job_->cancel_with(kDisconnect);
-    }
+    if (job_->conn->alive.load(std::memory_order_acquire) &&
+        !job_->conn->send(progress_frame(job_->id, progress)))
+      job_->cancel_with(kDisconnect);
   }
 
  private:
   std::shared_ptr<Job> job_;
-  const double budget_seconds_;
 };
 
 // --- lifecycle --------------------------------------------------------------
@@ -168,15 +167,42 @@ void Server::start() {
   workers_.reserve(config_.workers);
   for (std::size_t i = 0; i < config_.workers; ++i)
     workers_.emplace_back([this] { worker_loop(); });
+  watcher_ = std::thread([this] { watch(); });
+}
+
+void Server::watch() {
   // Relay the async-signal-safe self-pipe into the condition variable the
   // serving loops wait on (notify_all is not legal from a signal handler).
-  shutdown_waiter_ = std::thread([this] {
-    struct pollfd pfd = {wake_pipe_[0], POLLIN, 0};
-    while (::poll(&pfd, 1, -1) < 0 && errno == EINTR) {
-    }
+  // With a budget, wake every tick to check the running jobs against it.
+  const bool budgeted = config_.max_job_seconds > 0;
+  struct pollfd pfd = {wake_pipe_[0], POLLIN, 0};
+  while (true) {
+    const int ready = ::poll(&pfd, 1, budgeted ? kBudgetTickMs : -1);
+    if (ready > 0 || (ready < 0 && errno != EINTR)) break;
+    if (ready == 0) cancel_overdue_jobs();
+  }
+  {
     MutexLock lock(state_mu_);
     state_cv_.notify_all();
-  });
+  }
+  // The drain waits for in-flight jobs, so their budgets still bind.  (The
+  // pipe stays readable from here on, so the ticks are plain sleeps.)
+  while (budgeted) {
+    {
+      MutexLock lock(queue_mu_);
+      if (stop_workers_ && queue_.empty() && running_.empty()) return;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(kBudgetTickMs));
+    cancel_overdue_jobs();
+  }
+}
+
+void Server::cancel_overdue_jobs() {
+  const auto now = std::chrono::steady_clock::now();
+  const std::chrono::duration<double> budget(config_.max_job_seconds);
+  MutexLock lock(queue_mu_);
+  for (const std::shared_ptr<Job>& job : running_)
+    if (now - job->started > budget) job->cancel_with(kBudget);
 }
 
 void Server::request_shutdown() noexcept {
@@ -207,7 +233,7 @@ void Server::shutdown() {
   }
   for (std::thread& worker : workers_) worker.join();
   workers_.clear();
-  if (shutdown_waiter_.joinable()) shutdown_waiter_.join();
+  if (watcher_.joinable()) watcher_.join();
 
   // Every live stream gets a farewell, then the readers (woken by the
   // self-pipe) are joined and owned fds closed.
@@ -552,12 +578,13 @@ void Server::worker_loop() {
       if (queue_.empty()) return;  // stop requested and nothing left
       job = std::move(queue_.front());
       queue_.pop_front();
-      ++running_;
+      job->started = std::chrono::steady_clock::now();
+      running_.push_back(job);
     }
     execute(job);
     {
       MutexLock lock(queue_mu_);
-      --running_;
+      running_.erase(std::find(running_.begin(), running_.end(), job));
     }
     MutexLock lock(state_mu_);
     state_cv_.notify_all();
@@ -580,8 +607,8 @@ void Server::execute(const std::shared_ptr<Job>& job) {
   }
 
   // engine_ms covers the whole job: parse or synthesis, the CSSG build and
-  // the run.
-  const auto t0 = std::chrono::steady_clock::now();
+  // the run.  The worker that set `started` is this thread.
+  const auto t0 = job->started;
   Expected<Session> session =
       req.format == Request::CircuitFormat::Benchmark
           ? Session::from_benchmark(req.benchmark, req.style, req.options)
@@ -604,9 +631,9 @@ void Server::execute(const std::shared_ptr<Job>& job) {
     universe.insert(universe.end(), output.begin(), output.end());
   }
 
-  JobObserver observer(job, config_.max_job_seconds);
-  const Expected<AtpgResult> result =
-      session->run(universe, &observer, &job->cancel);
+  JobObserver observer(job);
+  const Expected<AtpgResult> result = session->run(
+      universe, req.progress ? &observer : nullptr, &job->cancel);
   const double engine_ms = std::chrono::duration<double, std::milli>(
                                std::chrono::steady_clock::now() - t0)
                                .count();
@@ -650,7 +677,7 @@ ServerStats Server::stats() const {
   {
     MutexLock lock(queue_mu_);
     s.queue_depth = queue_.size();
-    s.running = running_;
+    s.running = running_.size();
   }
   s.cache = cache_.stats();
   return s;
@@ -658,7 +685,7 @@ ServerStats Server::stats() const {
 
 bool Server::drained() const {
   MutexLock lock(queue_mu_);
-  return queue_.empty() && running_ == 0;
+  return queue_.empty() && running_.empty();
 }
 
 }  // namespace xatpg::serve

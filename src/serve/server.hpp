@@ -18,14 +18,16 @@
 //   cancellation
 //     one CancelToken per job, fired by: an explicit {"op":"cancel"}, the
 //     client's disconnect (reader EOF fires every in-flight token of that
-//     connection), the per-job time budget (enforced from the run's own
-//     progress callbacks), or server shutdown for still-queued jobs.
+//     connection), the per-job time budget (the watcher thread fires it
+//     once a running job is past max_job_seconds), or server shutdown for
+//     still-queued jobs.
 //   shutdown
 //     request_shutdown() is async-signal-safe (atomic store + self-pipe
 //     write) so the CLI installs it directly as the SIGINT/SIGTERM action;
-//     the serving loop then drains: in-flight jobs run to completion,
-//     queued jobs get cancelled frames, every connection gets a bye frame,
-//     and the process exits 0.
+//     the serving loop then drains: in-flight jobs run to completion (or
+//     to their time budget, which the watcher keeps enforcing), queued
+//     jobs get cancelled frames, every connection gets a bye frame, and
+//     the process exits 0.
 //
 // All frame writes to one connection go through a per-connection mutex so
 // worker progress frames and reader error frames never interleave bytes.
@@ -58,9 +60,11 @@ struct ServeConfig {
   std::size_t queue_capacity = 16;
   /// Byte cap of the cross-request result cache (0 disables caching).
   std::size_t cache_bytes = std::size_t{8} << 20;
-  /// Per-job wall-clock budget, enforced cooperatively from the run's own
-  /// progress callbacks (0 = unlimited).  A job over budget is cancelled
-  /// and reported with reason "budget".
+  /// Per-job wall-clock budget, counted from the moment a worker starts the
+  /// job (circuit build included; 0 = unlimited).  The server's watcher
+  /// thread fires the job's CancelToken once the budget is spent; the run
+  /// stops at its next cancel poll (per random walk, per fault) and the job
+  /// is reported cancelled with reason "budget".
   double max_job_seconds = 0;
   /// Per-job node-budget ceiling: a request's diff_node_cap is clamped to
   /// this at admission (0 = no clamp).
@@ -137,6 +141,11 @@ class Server {
   void admit_submit(const std::shared_ptr<Connection>& conn, Request request);
   void worker_loop();
   void execute(const std::shared_ptr<Job>& job);
+  /// Body of watcher_: relays the self-pipe into state_cv_ and, when
+  /// max_job_seconds is set, cancels running jobs past their budget until
+  /// the workers have drained.
+  void watch();
+  void cancel_overdue_jobs();
   void finish_job(const std::shared_ptr<Job>& job);
 
   const ServeConfig config_;
@@ -150,7 +159,9 @@ class Server {
   mutable Mutex queue_mu_;
   std::condition_variable queue_cv_;
   std::deque<std::shared_ptr<Job>> queue_ XATPG_GUARDED_BY(queue_mu_);
-  std::size_t running_ XATPG_GUARDED_BY(queue_mu_) = 0;
+  /// Jobs executing on workers (their Job::started is set before they are
+  /// added here, and read by the budget check under the same lock).
+  std::vector<std::shared_ptr<Job>> running_ XATPG_GUARDED_BY(queue_mu_);
   bool stop_workers_ XATPG_GUARDED_BY(queue_mu_) = false;
   std::vector<std::thread> workers_;
 
@@ -165,7 +176,7 @@ class Server {
   // shutdown requests, reader exits and job completions.
   mutable Mutex state_mu_;
   std::condition_variable state_cv_;
-  std::thread shutdown_waiter_;  ///< relays the self-pipe into state_cv_
+  std::thread watcher_;  ///< runs watch()
 
   // Monotonic counters (atomics: bumped from readers and workers alike).
   std::atomic<std::size_t> submitted_{0};

@@ -355,6 +355,9 @@ TEST(Cancellation, MidMergePartialResultIsAPrefixAcrossThreads) {
     const AtpgResult partial = engine.run(faults, &observer, &token);
     EXPECT_EQ(partial.stats.by_three_phase, 2u);
     expect_prefix_of(partial, full, "mmu/bd threads=" + std::to_string(threads));
+    // A new run on the same engine carries nothing over from the cancelled
+    // one and lands on the uncancelled result.
+    expect_identical(full, engine.run(faults), threads, "mmu/bd rerun");
 
     if (!base_partial) {
       base_partial = partial;
@@ -392,7 +395,8 @@ class CancelAtRandomPhase : public RunObserver {
 TEST(Cancellation, CancelDuringRandomPhaseCommitsNoWalk) {
   // A cancel fired during the random pass commits no walk: the empty
   // prefix, at every thread count.  The simulators are then partly built,
-  // and the skipped merge must not touch them; resuming finishes the job.
+  // and the skipped merge must not touch them; a new run on the same engine
+  // starts from scratch and finishes the job.
   const auto synth = benchmark_circuit("mmu", SynthStyle::BoundedDelay);
   const auto faults = input_stuck_faults(synth.netlist);
   std::optional<AtpgResult> base_partial;
@@ -417,115 +421,7 @@ TEST(Cancellation, CancelDuringRandomPhaseCommitsNoWalk) {
       base_partial = partial;
     else
       expect_identical(*base_partial, partial, threads, "mmu/bd random cancel");
-    expect_identical(full, engine.add_faults({}), threads, "mmu/bd resume");
-  }
-}
-
-// --- incremental runs ---------------------------------------------------------
-// add_faults() must behave as if the union universe had been run from
-// scratch: cached searches are never redone, new faults are searched before
-// the first commit, every resolution event is final, and the merged result
-// is byte-identical — at every thread count.
-
-/// Sum of faults_done over every shard: the 3-phase searches the engine's
-/// most recent run paid for.
-std::size_t searches_done(const AtpgEngine& engine) {
-  std::size_t done = 0;
-  for (const ShardBddStats& shard : engine.shard_bdd_stats())
-    done += shard.faults_done;
-  return done;
-}
-
-void check_incremental(const Netlist& netlist, const std::vector<bool>& reset,
-                       const std::vector<Fault>& faults,
-                       const std::string& name,
-                       std::size_t random_budget = 24) {
-  const std::size_t half = faults.size() / 2;
-  const std::vector<Fault> first(faults.begin(), faults.begin() + half);
-  const std::vector<Fault> rest(faults.begin() + half, faults.end());
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{4}}) {
-    AtpgOptions options = determinism_options(threads);
-    options.random_budget = random_budget;
-    AtpgEngine fresh(netlist, reset, options);
-    const AtpgResult full = fresh.run(faults);
-
-    AtpgEngine grown(netlist, reset, options);
-    grown.run(first);
-    ResolvedRecorder recorder;
-    const AtpgResult incremental = grown.add_faults(rest, &recorder);
-    ASSERT_EQ(grown.universe().size(), faults.size());
-    expect_identical(full, incremental, threads, name + "/incremental");
-    EXPECT_EQ(full.sequences.size(), incremental.sequences.size());
-    // Every event reports the outcome the returned result holds.
-    EXPECT_FALSE(recorder.events.empty());
-    for (const auto& [index, outcome] : recorder.events) {
-      ASSERT_LT(index, incremental.outcomes.size());
-      EXPECT_EQ(outcome, incremental.outcomes[index]) << "fault " << index;
-    }
-  }
-}
-
-TEST(Incremental, MatchesFromScratchOnMmuBoundedDelay) {
-  const auto synth = benchmark_circuit("mmu", SynthStyle::BoundedDelay);
-  check_incremental(synth.netlist, synth.reset_state,
-                    input_stuck_faults(synth.netlist), "mmu/bd");
-}
-
-TEST(Incremental, MatchesFromScratchWithoutRandomPhase) {
-  // random_budget = 0 forces everything through the 3-phase merge, so the
-  // incremental run commits cached and freshly searched tests alike (and
-  // vbe5b has two search-exhausted faults that must stay undetected).
-  const auto synth = benchmark_circuit("vbe5b", SynthStyle::SpeedIndependent);
-  check_incremental(synth.netlist, synth.reset_state,
-                    input_stuck_faults(synth.netlist), "vbe5b/si",
-                    /*random_budget=*/0);
-}
-
-TEST(Incremental, OutputFaultsJoinInputUniverse) {
-  // Growing with a *different* fault model mid-session must work too.
-  const fixtures::Circuit c = fixtures::pipeline2();
-  std::vector<Fault> all = input_stuck_faults(c.netlist);
-  const std::vector<Fault> extra = output_stuck_faults(c.netlist);
-  const std::size_t in_count = all.size();
-  all.insert(all.end(), extra.begin(), extra.end());
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    AtpgOptions options = determinism_options(threads);
-    AtpgEngine fresh(c.netlist, c.reset, options);
-    const AtpgResult full = fresh.run(all);
-    AtpgEngine grown(c.netlist, c.reset, options);
-    grown.run(std::vector<Fault>(all.begin(), all.begin() + in_count));
-    expect_identical(full, grown.add_faults(extra), threads, "pipe2/mixed");
-  }
-}
-
-TEST(Incremental, ResumeAfterCancelReproducesFullRun) {
-  // The acceptance contract: cancel mid-run, then add_faults() on the
-  // remainder (here: an empty delta — the universe is already complete)
-  // finishes the job byte-identically to an uncancelled run, reusing every
-  // search the cancelled run already paid for.
-  const auto synth = benchmark_circuit("mmu", SynthStyle::BoundedDelay);
-  const auto faults = input_stuck_faults(synth.netlist);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{4}}) {
-    AtpgOptions options = determinism_options(threads);
-    AtpgEngine fresh(synth.netlist, synth.reset_state, options);
-    const AtpgResult full = fresh.run(faults);
-
-    AtpgEngine engine(synth.netlist, synth.reset_state, options);
-    CancelToken token;
-    CancelAtCommit observer(token, 2);
-    const AtpgResult partial = engine.run(faults, &observer, &token);
-    ASSERT_TRUE(partial.cancelled);
-    ASSERT_GT(searches_done(engine), 0u);
-    const AtpgResult resumed = engine.add_faults({});
-    EXPECT_FALSE(resumed.cancelled);
-    expect_identical(full, resumed, threads, "mmu/bd resume");
-    // The cancel fired at commit 2, after the up-front searches: resuming
-    // pays for none again, and neither does a rerun of the finished job.
-    EXPECT_EQ(searches_done(engine), 0u);
-    expect_identical(full, engine.add_faults({}), threads, "mmu/bd rerun");
-    EXPECT_EQ(searches_done(engine), 0u);
+    expect_identical(full, engine.run(faults), threads, "mmu/bd rerun");
   }
 }
 

@@ -469,6 +469,37 @@ TEST(Serve, DisconnectMidRunCancelsOnlyThatJob) {
   EXPECT_TRUE(fixture.wait_until([&] { return fixture.server().drained(); }));
 }
 
+// --- per-job time budget ----------------------------------------------------
+
+TEST(Serve, TimeBudgetCancelsAJobThatSendsNoProgress) {
+  // vbe5b has undetectable input faults, so a 2^40-vector random budget
+  // keeps the random pass walking; no progress callback fires there (nor in
+  // a 3-phase search at threads 1), so the budget must not depend on one.
+  serve::ServeConfig config;
+  config.workers = 1;
+  config.max_job_seconds = 0.5;
+  config.defaults.threads = 1;
+  ServeFixture fixture(config);
+  Client client = fixture.connect();
+
+  client.send(
+      "{\"op\":\"submit\",\"id\":\"slow\",\"circuit\":{\"format\":"
+      "\"benchmark\",\"name\":\"vbe5b\",\"style\":\"si\"},\"faults\":"
+      "\"input\",\"options\":{\"random_budget\":1099511627776}}\n");
+  client.expect_frame("ack");
+  const std::optional<std::string> line = client.next_line(5000);
+  ASSERT_TRUE(line.has_value()) << "no frame within 5 s of the ack";
+  const Value frame = json::parse(*line);
+  EXPECT_EQ(json::string_field(frame, "type"), "cancelled") << *line;
+  EXPECT_EQ(json::string_field(frame, "reason"), "budget") << *line;
+  EXPECT_TRUE(fixture.wait_until([&] { return fixture.server().drained(); }));
+
+  // The daemon then shuts down cleanly.
+  fixture.server().shutdown();
+  client.expect_frame("bye");
+  EXPECT_EQ(fixture.server().stats().cancelled, 1u);
+}
+
 // --- graceful shutdown ------------------------------------------------------
 
 TEST(Serve, ShutdownRequestDrainsInFlightAndSaysBye) {

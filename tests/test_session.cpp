@@ -1,7 +1,7 @@
 // Coverage for the public facade (xatpg::Session): typed-error taxonomy on
 // every failure path, option validation at the boundary, the streaming
-// observer contract, cooperative cancellation, incremental runs, and the
-// export surface.  Everything here drives the library the way an
+// observer contract, cooperative cancellation, repeated runs on one
+// Session, and the export surface.  Everything here drives the library the way an
 // out-of-tree consumer would — through include/xatpg only — with internal
 // headers used solely to cross-check results.
 #include "xatpg/xatpg.hpp"
@@ -157,17 +157,13 @@ TEST(SessionFlow, QuickstartOnBenchmark) {
   EXPECT_GT(session->num_signals(), 0u);
   EXPECT_GT(session->num_pins(), 0u);
   EXPECT_GT(session->cssg_stats().stable_states, 0.0);
-  EXPECT_FALSE(session->has_result());
 
   const auto faults = session->input_stuck_faults();
   EXPECT_EQ(faults.size(), 2 * session->num_pins());
   const auto result = session->run(faults);
   ASSERT_TRUE(result.has_value());
-  EXPECT_TRUE(session->has_result());
-  EXPECT_EQ(session->fault_universe().size(), faults.size());
   EXPECT_EQ(result->stats.total_faults, faults.size());
   EXPECT_GE(result->stats.coverage(), 0.9);
-  EXPECT_EQ(session->last_result().stats.covered, result->stats.covered);
 
   const auto program = session->test_program(*result);
   ASSERT_TRUE(program.has_value());
@@ -293,7 +289,56 @@ TEST(SessionObserver, EventStreamIsThreadCountInvariant) {
   }
 }
 
-// --- cancellation + incremental through the facade ----------------------------
+// --- repeated runs and cancellation through the facade ------------------------
+
+/// Sum of faults_done over every shard: the 3-phase searches the session's
+/// most recent run paid for.
+std::size_t searches_done(const Session& session) {
+  std::size_t done = 0;
+  for (const ShardBddStats& shard : session.shard_bdd_stats())
+    done += shard.faults_done;
+  return done;
+}
+
+TEST(SessionRuns, SecondUniverseMatchesFreshSession) {
+  // What perf::run_entry and perfbench do: the output universe, then the
+  // input universe, on one Session.  The second run reuses the CSSG and the
+  // worker shards but nothing else: it equals a fresh Session's run, and
+  // the shard accounting counts only its own searches.
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    auto fresh = Session::from_benchmark("mmu", SynthStyle::BoundedDelay,
+                                         session_options(threads));
+    ASSERT_TRUE(fresh.has_value());
+    const auto expected = fresh->run(fresh->input_stuck_faults());
+    ASSERT_TRUE(expected.has_value());
+
+    auto reused = Session::from_benchmark("mmu", SynthStyle::BoundedDelay,
+                                          session_options(threads));
+    ASSERT_TRUE(reused.has_value());
+    const auto output = reused->run(reused->output_stuck_faults());
+    ASSERT_TRUE(output.has_value());
+    ASSERT_GT(searches_done(*reused), 0u);
+    const auto input = reused->run(reused->input_stuck_faults());
+    ASSERT_TRUE(input.has_value());
+    EXPECT_EQ(input->outcomes, expected->outcomes);
+    EXPECT_EQ(input->sequences, expected->sequences);
+    EXPECT_EQ(input->stats.by_random, expected->stats.by_random);
+    EXPECT_EQ(input->stats.by_three_phase, expected->stats.by_three_phase);
+    EXPECT_EQ(input->stats.by_fault_sim, expected->stats.by_fault_sim);
+    EXPECT_EQ(input->stats.gave_up, expected->stats.gave_up);
+
+    // Every fault the random phase and the classifier left is searched once,
+    // by this run alone.
+    EXPECT_EQ(searches_done(*reused),
+              input->stats.total_faults - input->stats.by_random -
+                  input->stats.proven_redundant);
+    EXPECT_EQ(searches_done(*reused), searches_done(*fresh));
+  }
+}
+
+// --- cancellation through the facade -------------------------------------------
 
 class SessionCancelAtCommit : public RunObserver {
  public:
@@ -311,7 +356,7 @@ class SessionCancelAtCommit : public RunObserver {
   std::size_t remaining_;
 };
 
-TEST(SessionCancellation, PartialPrefixThenResumeMatchesFullRun) {
+TEST(SessionCancellation, PartialPrefixThenRerunMatchesFullRun) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{4}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -337,42 +382,13 @@ TEST(SessionCancellation, PartialPrefixThenResumeMatchesFullRun) {
     for (std::size_t s = 0; s < partial->sequences.size(); ++s)
       EXPECT_EQ(partial->sequences[s], full->sequences[s]);
 
-    // Resume: an empty delta re-runs the universe from the caches and must
+    // A new run on the same session redoes the job from scratch and must
     // land exactly on the uncancelled result.
-    const auto resumed = session->add_faults({});
-    ASSERT_TRUE(resumed.has_value());
-    EXPECT_FALSE(resumed->cancelled);
-    EXPECT_EQ(resumed->outcomes, full->outcomes);
-    EXPECT_EQ(resumed->sequences, full->sequences);
-  }
-}
-
-TEST(SessionIncremental, AddFaultsMatchesFromScratchUnion) {
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{4}}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    auto fresh = Session::from_benchmark("mmu", SynthStyle::BoundedDelay,
-                                         session_options(threads));
-    ASSERT_TRUE(fresh.has_value());
-    const auto faults = fresh->input_stuck_faults();
-    const auto full = fresh->run(faults);
-    ASSERT_TRUE(full.has_value());
-
-    auto grown = Session::from_benchmark("mmu", SynthStyle::BoundedDelay,
-                                         session_options(threads));
-    ASSERT_TRUE(grown.has_value());
-    const std::size_t half = faults.size() / 2;
-    ASSERT_TRUE(grown
-                    ->run(std::vector<Fault>(faults.begin(),
-                                             faults.begin() + half))
-                    .has_value());
-    const auto incremental = grown->add_faults(
-        std::vector<Fault>(faults.begin() + half, faults.end()));
-    ASSERT_TRUE(incremental.has_value());
-    EXPECT_EQ(grown->fault_universe().size(), faults.size());
-    EXPECT_EQ(incremental->outcomes, full->outcomes);
-    EXPECT_EQ(incremental->sequences, full->sequences);
-    EXPECT_EQ(incremental->stats.by_fault_sim, full->stats.by_fault_sim);
+    const auto rerun = session->run(session->input_stuck_faults());
+    ASSERT_TRUE(rerun.has_value());
+    EXPECT_FALSE(rerun->cancelled);
+    EXPECT_EQ(rerun->outcomes, full->outcomes);
+    EXPECT_EQ(rerun->sequences, full->sequences);
   }
 }
 

@@ -1,6 +1,7 @@
 #include "atpg/fault_sim.hpp"
 
-#include "sim/explicit.hpp"
+#include <algorithm>
+
 #include "util/check.hpp"
 
 namespace xatpg {
@@ -8,11 +9,27 @@ namespace xatpg {
 FaultSimulator::FaultSimulator(const Netlist& good, const Fault& fault,
                                const std::vector<bool>& reset_state,
                                const FaultSimOptions& options)
-    : good_(&good),
-      fault_(fault),
+    : fault_(fault),
+      options_(options),
       faulty_(apply_fault(good, fault)),
-      reset_values_(reset_state),
-      options_(options) {
+      reset_row_(faulty_.words()),
+      num_good_inputs_(good.inputs().size()),
+      outputs_(good.outputs()),
+      candidates_(faulty_.words()),
+      next_(faulty_.words()),
+      settled_(faulty_.words()),
+      row_(faulty_.words()) {
+  // Reset drives every (shared) signal to the good reset value; the faulty
+  // circuit then relaxes freely.
+  faulty_.pack(fault_initial_state(good, fault, reset_state),
+               reset_row_.data());
+  // Signal ids are shared, so a primary input keeps its id unless the
+  // fault removed it (a stuck pad is a constant gate in the faulty circuit).
+  for (std::size_t i = 0; i < good.inputs().size(); ++i) {
+    const SignalId in = good.inputs()[i];
+    if (!(fault.site == Fault::Site::SignalOutput && fault.gate == in))
+      input_map_.emplace_back(i, in);
+  }
   restart();
 }
 
@@ -20,74 +37,51 @@ void FaultSimulator::restart() {
   if (status_ == DetectStatus::Detected) return;  // sticky once proven
   status_ = DetectStatus::Undetermined;
   candidates_.clear();
-  // Reset drives every (shared) signal to the good reset value; the faulty
-  // circuit then relaxes freely.  No strobe is compared at reset time.
-  const std::vector<bool> start =
-      fault_initial_state(*good_, fault_, reset_values_);
-  std::vector<bool> inputs;
-  for (const SignalId in : faulty_.inputs()) inputs.push_back(start[in]);
-  const ExploreResult result =
-      explore_settling(faulty_, start, inputs, options_.k);
-  if (result.exceeded_bound) {
+  // No strobe is compared at reset time.
+  if (faulty_.settle(reset_row_.data(), options_.k, candidates_)
+          .exceeded_bound) {
+    candidates_.clear();
     status_ = DetectStatus::GaveUp;  // faulty circuit does not even reset
     return;
   }
-  candidates_ = result.stable_states;
   if (candidates_.size() > options_.candidate_cap)
     status_ = DetectStatus::GaveUp;
-}
-
-void FaultSimulator::settle_into(const std::vector<bool>& start,
-                                 const std::vector<bool>& input_values,
-                                 const std::vector<bool>* good_state,
-                                 std::set<std::vector<bool>>& out) {
-  const ExploreResult result = explore_settling(
-      faulty_, start, map_input_vector(*good_, faulty_, input_values),
-      options_.k);
-  if (result.exceeded_bound) {
-    status_ = DetectStatus::GaveUp;
-    return;
-  }
-  for (const auto& candidate : result.stable_states) {
-    if (good_state) {
-      // Strobe: executions whose primary outputs differ from the expected
-      // response have been flagged by the tester — drop them.
-      bool mismatch = false;
-      for (const SignalId po : good_->outputs())
-        if (candidate[po] != (*good_state)[po]) {
-          mismatch = true;
-          break;
-        }
-      if (mismatch) continue;
-    }
-    out.insert(candidate);
-  }
 }
 
 DetectStatus FaultSimulator::step(const std::vector<bool>& input_values,
                                   const std::vector<bool>& good_state) {
   if (status_ != DetectStatus::Undetermined) return status_;
-  std::set<std::vector<bool>> next;
-  for (const auto& candidate : candidates_) {
-    settle_into(candidate, input_values, &good_state, next);
-    if (status_ == DetectStatus::GaveUp) return status_;
-    if (next.size() > options_.candidate_cap) {
+  XATPG_CHECK(input_values.size() == num_good_inputs_);
+  next_.clear();
+  for (std::size_t c = 0; c < candidates_.size(); ++c) {
+    std::copy_n(candidates_.row(c), row_.size(), row_.begin());
+    for (const auto& [index, signal] : input_map_)
+      set_row_bit(row_.data(), signal, input_values[index]);
+    settled_.clear();
+    if (faulty_.settle(row_.data(), options_.k, settled_).exceeded_bound) {
+      status_ = DetectStatus::GaveUp;
+      return status_;
+    }
+    for (std::size_t s = 0; s < settled_.size(); ++s) {
+      // Strobe: executions whose primary outputs differ from the expected
+      // response have been flagged by the tester — drop them.
+      const std::uint64_t* settled = settled_.row(s);
+      bool mismatch = false;
+      for (const SignalId po : outputs_)
+        if (row_bit(settled, po) != good_state[po]) {
+          mismatch = true;
+          break;
+        }
+      if (!mismatch) next_.insert(settled);
+    }
+    if (next_.size() > options_.candidate_cap) {
       status_ = DetectStatus::GaveUp;
       return status_;
     }
   }
-  candidates_ = std::move(next);
+  std::swap(candidates_, next_);
   if (candidates_.empty()) status_ = DetectStatus::Detected;
   return status_;
-}
-
-std::string FaultSimulator::candidates_key() const {
-  std::string key;
-  for (const auto& candidate : candidates_) {
-    for (const bool b : candidate) key += b ? '1' : '0';
-    key += '|';
-  }
-  return key;
 }
 
 std::vector<std::size_t> ternary_screen(

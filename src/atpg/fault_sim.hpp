@@ -8,7 +8,8 @@
 // FaultSimulator tracks the set of faulty-circuit states that are still
 // consistent with the fault-free responses observed so far:
 //   * per test cycle, each candidate is settled exactly (all interleavings,
-//     bounded by k) on the materialized faulty netlist;
+//     bounded by k) on the materialized faulty netlist, compiled once into
+//     the packed-state kernel of sim/explicit;
 //   * outcomes that differ from the good circuit at a primary output strobe
 //     correspond to executions on which the tester already flagged the
 //     fault — they leave the consistent set;
@@ -26,11 +27,13 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "atpg/fault.hpp"
 #include "netlist/netlist.hpp"
+#include "sim/explicit.hpp"
 #include "xatpg/options.hpp"  // FaultSimOptions (public API type)
 
 namespace xatpg {
@@ -44,7 +47,11 @@ enum class DetectStatus : std::uint8_t {
 // FaultSimOptions (the simulator caps) is a public API type — see
 // xatpg/options.hpp.
 
-/// Exact consistent-set simulator for one fault.
+/// Exact consistent-set simulator for one fault.  The faulty circuit is
+/// compiled once, in the constructor, into a SettlingKernel the simulator
+/// owns; the consistent set is a StateSet of packed faulty states.  Nothing
+/// points back into the good netlist, so a simulator is freely copyable and
+/// movable, and two simulators share no data.
 class FaultSimulator {
  public:
   /// `reset_state` is the good circuit's (stable) reset state; the faulty
@@ -55,7 +62,6 @@ class FaultSimulator {
 
   DetectStatus status() const { return status_; }
   const Fault& fault() const { return fault_; }
-  std::size_t num_candidates() const { return candidates_.size(); }
 
   /// Apply one test vector.  `good_state` is the good circuit's stable
   /// state after this cycle (its PO values are the expected responses).
@@ -67,7 +73,7 @@ class FaultSimulator {
 
   /// Cheap snapshot/rollback for the differentiation BFS.
   struct Snapshot {
-    std::set<std::vector<bool>> candidates;
+    StateSet candidates;
     DetectStatus status;
   };
   Snapshot snapshot() const { return {candidates_, status_}; }
@@ -76,22 +82,26 @@ class FaultSimulator {
     status_ = snap.status;
   }
 
-  /// Canonical serialization of the candidate set (BFS visited keys).
-  std::string candidates_key() const;
+  /// Canonical serialization of the candidate set (BFS visited keys): the
+  /// sorted rows' bytes, so equal sets give equal keys.
+  std::string candidates_key() const { return candidates_.canonical_key(); }
 
  private:
-  void settle_into(const std::vector<bool>& start,
-                   const std::vector<bool>& input_values,
-                   const std::vector<bool>* good_state,
-                   std::set<std::vector<bool>>& out);
-
-  const Netlist* good_;
   Fault fault_;
-  Netlist faulty_;
-  std::vector<bool> reset_values_;
   FaultSimOptions options_;
-  std::set<std::vector<bool>> candidates_;
+  SettlingKernel faulty_;
+  /// fault_initial_state of the good reset state, packed.
+  std::vector<std::uint64_t> reset_row_;
+  /// (index into the good input vector, faulty signal) for every primary
+  /// input of the faulty circuit; a stuck input has no entry.
+  std::vector<std::pair<std::size_t, SignalId>> input_map_;
+  std::size_t num_good_inputs_;
+  std::vector<SignalId> outputs_;  // same ids in the good and faulty circuit
+  StateSet candidates_;
   DetectStatus status_ = DetectStatus::Undetermined;
+  // Scratch, reused across steps.
+  StateSet next_, settled_;
+  std::vector<std::uint64_t> row_;
 };
 
 /// Word-parallel ternary screen: simulate up to 63 faults against the good

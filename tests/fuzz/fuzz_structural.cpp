@@ -7,14 +7,17 @@
 // seed a valid random netlist, then apply a chain of structure-preserving
 // mutations (gate swap / fanin rewire / gate splice / reset perturbation,
 // src/netlist/random_netlist.hpp), each re-validated, and drive every mutant
-// through three oracles:
+// through four oracles:
 //
 //   1. canonicalization: write_xnl -> parse_xnl -> write_xnl must preserve
 //      the circuit's line set (the serve cache keys on canonical bytes;
 //      re-parsing may renumber, so fuzz::sorted_lines is the identity);
 //   2. the brute-force CSSG oracle (tests/oracle.hpp): the symbolic CSSG
 //      must match explicit enumeration exactly;
-//   3. the ATPG engine must run to completion with one outcome per fault.
+//   3. the ATPG engine must run to completion with one outcome per fault;
+//   4. the packed-state settling kernel: explore_settling from the reset
+//      state under every input pattern must equal the std::set explorer
+//      oracle_explore_settling (tests/oracle.hpp) on every field.
 //
 // Any exception at all is a violation here: every circuit is valid by
 // construction, so even CheckError (legal for hostile *text*) means a
@@ -32,6 +35,7 @@
 #include "netlist/random_netlist.hpp"
 #include "oracle.hpp"
 #include "sgraph/cssg.hpp"
+#include "sim/explicit.hpp"
 #include "util/check.hpp"
 #include "util/random.hpp"
 
@@ -83,6 +87,27 @@ void check_cssg_oracle(const xatpg::Netlist& netlist,
         data, size);
 }
 
+void check_explore_oracle(const xatpg::Netlist& netlist,
+                          const std::vector<bool>& reset,
+                          const std::uint8_t* data, std::size_t size) {
+  const std::size_t m = netlist.inputs().size();
+  for (std::uint64_t bits = 0; bits < (1ull << m); ++bits) {
+    std::vector<bool> pattern(m);
+    for (std::size_t i = 0; i < m; ++i) pattern[i] = (bits >> i) & 1;
+    const std::string mismatch = xatpg::testing::explore_mismatch(
+        xatpg::explore_settling(netlist, reset, pattern, kSettle),
+        xatpg::testing::oracle_explore_settling(netlist, reset, pattern,
+                                                kSettle));
+    if (!mismatch.empty())
+      xatpg::fuzz::violation(
+          (std::string("settling kernel diverged from the std::set oracle "
+                       "on ") +
+           mismatch + "\ncircuit:\n" + xatpg::write_xnl_string(netlist))
+              .c_str(),
+          data, size);
+  }
+}
+
 void check_engine(const xatpg::Netlist& netlist,
                   const std::vector<bool>& reset, const std::uint8_t* data,
                   std::size_t size) {
@@ -127,6 +152,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       reset = std::move(mutant->reset);
 
       check_roundtrip(current, data, size);
+      check_explore_oracle(current, reset, data, size);
       if (current.num_signals() <= kOracleMaxSignals)
         check_cssg_oracle(current, reset, data, size);
       if (current.num_signals() <= kEngineMaxSignals)

@@ -1,7 +1,11 @@
-// Brute-force oracles.  The CSSG oracle is shared by the randomized
-// differential suite (tests/test_differential.cpp) and the structural
-// netlist fuzzer (tests/fuzz/fuzz_structural.cpp); the two-level
-// minimization oracle backs tests/test_synth.cpp.
+// Brute-force oracles.  The settling oracle is the std::set explorer that
+// the packed-state kernel of sim/explicit replaced, and the fault-sim
+// oracle is the std::set consistent-set stepper built on it;
+// tests/test_sim.cpp and the structural fuzzer check the production kernel
+// and FaultSimulator against them.  The CSSG oracle is shared by the
+// randomized differential suite (tests/test_differential.cpp) and the
+// structural netlist fuzzer (tests/fuzz/fuzz_structural.cpp); the
+// two-level minimization oracle backs tests/test_synth.cpp.
 //
 // The oracle re-derives the complete-state-signal graph by explicit search:
 // BFS from reset over all input patterns, keeping only confluent settlings
@@ -32,6 +36,8 @@
 #include <vector>
 
 #include "atpg/engine.hpp"
+#include "atpg/fault.hpp"
+#include "atpg/fault_sim.hpp"
 #include "netlist/netlist.hpp"
 #include "sgraph/cssg.hpp"
 #include "sim/explicit.hpp"
@@ -40,6 +46,169 @@
 #include "util/random.hpp"
 
 namespace xatpg::testing {
+
+// --- explicit settling oracle ----------------------------------------------
+
+namespace oracle_detail {
+
+/// All excited (unstable) gates in `state`.
+inline std::vector<SignalId> excited_gates(const Netlist& netlist,
+                                           const std::vector<bool>& state) {
+  std::vector<SignalId> out;
+  for (SignalId s = 0; s < netlist.num_signals(); ++s) {
+    if (netlist.is_input(s)) continue;
+    if (!netlist.is_gate_stable(s, state)) out.push_back(s);
+  }
+  return out;
+}
+
+}  // namespace oracle_detail
+
+/// explore_settling as it was before the packed-state kernel: std::set
+/// levels of std::vector<bool> states, gates evaluated through
+/// Netlist::is_gate_stable, and a separate set of every state seen.
+inline ExploreResult oracle_explore_settling(
+    const Netlist& netlist, const std::vector<bool>& stable_from,
+    const std::vector<bool>& input_values, std::size_t max_transitions) {
+  XATPG_CHECK(stable_from.size() == netlist.num_signals());
+  XATPG_CHECK(input_values.size() == netlist.inputs().size());
+
+  ExploreResult result;
+  std::vector<bool> start = stable_from;
+  for (std::size_t i = 0; i < input_values.size(); ++i)
+    start[netlist.inputs()[i]] = input_values[i];
+
+  // Level-synchronous exploration: level d holds the set of *unstable*
+  // states reachable in exactly d gate transitions after the input flip;
+  // stable states are recorded and not expanded (they self-loop in R_delta).
+  // This matches the TCR_k semantics exactly: the pattern is valid iff one
+  // stable state is reachable and no trajectory is still unstable after
+  // max_transitions steps.
+  std::set<std::vector<bool>> seen_states;  // statistics only
+  std::set<std::vector<bool>> level{start};
+  std::size_t depth = 0;
+  while (!level.empty()) {
+    std::set<std::vector<bool>> next_level;
+    for (const std::vector<bool>& state : level) {
+      seen_states.insert(state);
+      const auto excited = oracle_detail::excited_gates(netlist, state);
+      if (excited.empty()) {
+        result.stable_states.insert(state);
+        continue;
+      }
+      if (depth == max_transitions) {
+        // An unstable state survives at the transition bound: oscillation
+        // or a settle time longer than the test cycle.
+        result.exceeded_bound = true;
+        continue;
+      }
+      for (const SignalId g : excited) {
+        std::vector<bool> succ = state;
+        succ[g] = !succ[g];
+        next_level.insert(std::move(succ));
+      }
+    }
+    if (depth == max_transitions) break;
+    result.longest_path = depth;
+    level = std::move(next_level);
+    ++depth;
+  }
+  result.states_visited = seen_states.size();
+  return result;
+}
+
+/// "" when the two exploration results agree on every field, else the
+/// first field that differs.
+inline std::string explore_mismatch(const ExploreResult& got,
+                                    const ExploreResult& want) {
+  if (got.stable_states != want.stable_states) return "stable_states";
+  if (got.exceeded_bound != want.exceeded_bound) return "exceeded_bound";
+  if (got.states_visited != want.states_visited) return "states_visited";
+  if (got.longest_path != want.longest_path) return "longest_path";
+  return {};
+}
+
+/// FaultSimulator as it was before the packed-state kernel: the consistent
+/// set is a std::set of faulty states, each settled by
+/// oracle_explore_settling on the materialized faulty netlist.  A plain
+/// value, so a copy is a snapshot.
+class OracleFaultSimulator {
+ public:
+  OracleFaultSimulator(const Netlist& good, const Fault& fault,
+                       const std::vector<bool>& reset_state,
+                       const FaultSimOptions& options)
+      : good_(&good),
+        fault_(fault),
+        faulty_(apply_fault(good, fault)),
+        reset_values_(reset_state),
+        options_(options) {
+    restart();
+  }
+
+  DetectStatus status() const { return status_; }
+  const std::set<std::vector<bool>>& candidates() const { return candidates_; }
+
+  void restart() {
+    if (status_ == DetectStatus::Detected) return;  // sticky once proven
+    status_ = DetectStatus::Undetermined;
+    candidates_.clear();
+    const std::vector<bool> start =
+        fault_initial_state(*good_, fault_, reset_values_);
+    std::vector<bool> inputs;
+    for (const SignalId in : faulty_.inputs()) inputs.push_back(start[in]);
+    const ExploreResult result =
+        oracle_explore_settling(faulty_, start, inputs, options_.k);
+    if (result.exceeded_bound) {
+      status_ = DetectStatus::GaveUp;  // faulty circuit does not even reset
+      return;
+    }
+    candidates_ = result.stable_states;
+    if (candidates_.size() > options_.candidate_cap)
+      status_ = DetectStatus::GaveUp;
+  }
+
+  DetectStatus step(const std::vector<bool>& input_values,
+                    const std::vector<bool>& good_state) {
+    if (status_ != DetectStatus::Undetermined) return status_;
+    std::set<std::vector<bool>> next;
+    for (const auto& candidate : candidates_) {
+      const ExploreResult result = oracle_explore_settling(
+          faulty_, candidate, map_input_vector(*good_, faulty_, input_values),
+          options_.k);
+      if (result.exceeded_bound) {
+        status_ = DetectStatus::GaveUp;
+        return status_;
+      }
+      for (const auto& settled : result.stable_states) {
+        bool mismatch = false;
+        for (const SignalId po : good_->outputs())
+          if (settled[po] != good_state[po]) {
+            mismatch = true;
+            break;
+          }
+        if (!mismatch) next.insert(settled);
+      }
+      if (next.size() > options_.candidate_cap) {
+        status_ = DetectStatus::GaveUp;
+        return status_;
+      }
+    }
+    candidates_ = std::move(next);
+    if (candidates_.empty()) status_ = DetectStatus::Detected;
+    return status_;
+  }
+
+ private:
+  const Netlist* good_;
+  Fault fault_;
+  Netlist faulty_;
+  std::vector<bool> reset_values_;
+  FaultSimOptions options_;
+  std::set<std::vector<bool>> candidates_;
+  DetectStatus status_ = DetectStatus::Undetermined;
+};
+
+// --- CSSG oracle -------------------------------------------------------------
 
 struct OracleCssg {
   std::set<std::vector<bool>> states;
@@ -69,7 +238,7 @@ inline OracleCssg oracle_cssg(const Netlist& netlist,
       }
       if (same) continue;  // R_I: at least one input must flip
       const ExploreResult explored =
-          explore_settling(netlist, state, pattern, k);
+          oracle_explore_settling(netlist, state, pattern, k);
       if (!explored.confluent()) continue;
       const std::vector<bool>& succ = *explored.stable_states.begin();
       oracle.edges.insert({state, pattern, succ});

@@ -274,20 +274,26 @@ TEST(ParallelEngine, ShardAccountingCoversEverySearchedFault) {
   const AtpgResult result = engine.run(faults);
   EXPECT_GT(result.stats.by_three_phase, 0u);
 
+  // A worker builds its shard lazily, when it first claims a block, so how
+  // many shards exist is scheduling too: worker 0 may search every fault
+  // before the pool threads start.  Worker 0 starts on its own deque at
+  // once, and a pool worker's shard exists only if it claimed a block, so
+  // every reported shard searched something.
   const std::vector<ShardBddStats> shards = engine.shard_bdd_stats();
-  ASSERT_EQ(shards.size(), 4u);
-  std::size_t searched = 0, stolen = 0;
+  ASSERT_GE(shards.size(), 1u);
+  ASSERT_LE(shards.size(), 4u);
+  std::size_t searched = 0;
   for (const ShardBddStats& shard : shards) {
+    EXPECT_GT(shard.faults_done, 0u) << "shard " << shard.shard;
     searched += shard.faults_done;
-    stolen += shard.blocks_stolen;
   }
   EXPECT_EQ(searched, faults.size());
   // A worker cannot steal more blocks than it completed faults (each stolen
-  // block contains at least one fault it then searched).
+  // block contains at least one fault it then searched).  How many steals
+  // happen is scheduling, not contract.
   for (const ShardBddStats& shard : shards)
     EXPECT_LE(shard.blocks_stolen, shard.faults_done) << "shard "
                                                       << shard.shard;
-  (void)stolen;  // how many steals happen is scheduling, not contract
 }
 
 // --- cancellation ------------------------------------------------------------
